@@ -2,7 +2,7 @@
 measurement error: cohort generation, naive frequentist fits, an MCMC
 adjustment engine, convergence diagnostics and an evidence-ratio toy model.
 """
-from .cohort import Cohort, CohortConfig, CohortRecord, read_cohort, simulate_cohort, write_cohort
+from .cohort import Cohort, CohortConfig, read_cohort, simulate_cohort, write_cohort
 from .diagnostics import PosteriorSummary, RhatReport, rhat, summarize, transform_summary
 from .errors import (
     CohortParseError,
@@ -38,14 +38,13 @@ from .priors import (
     linear_priors,
     logistic_priors,
 )
-from .rng import GammaParams, LogNormalParams, Rng, sample_bernoulli, sample_gamma, sample_lognormal, sample_normal
+from .rng import GammaParams, Rng, sample_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Cohort",
     "CohortConfig",
-    "CohortRecord",
     "read_cohort",
     "simulate_cohort",
     "write_cohort",
@@ -91,10 +90,6 @@ __all__ = [
     "linear_priors",
     "logistic_priors",
     "GammaParams",
-    "LogNormalParams",
     "Rng",
-    "sample_bernoulli",
     "sample_gamma",
-    "sample_lognormal",
-    "sample_normal",
 ]

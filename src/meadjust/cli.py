@@ -22,7 +22,6 @@ from .errors import (
     InsufficientSamplesError,
     NumericalError,
     ParameterError,
-    SingularDesignError,
 )
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
@@ -66,7 +65,11 @@ def _load_config(args) -> ExperimentConfig:
     """Resolve the experiment config: file values, then flag overrides."""
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            cfg = experiment_from_dict(json.load(f))
+            try:
+                d = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"bad config file: {exc}") from exc
+        cfg = experiment_from_dict(d)
     else:
         cfg = ExperimentConfig()
     cfg = dataclasses.replace(cfg, out_dir=args.out_dir, formats=tuple(_comma_list(args.format)))
@@ -363,23 +366,26 @@ def _cmd_evidence(args) -> int:
     seed = args.seed if args.seed is not None else 0
     prefixes = sorted({int(x) for x in _comma_list(args.prefixes)})
     p_nulls = [float(x) for x in _comma_list(args.p_null)]
+    if not prefixes or not p_nulls:
+        raise ParameterError("--prefixes and --p-null each need at least one value")
     n = max(args.n, max(prefixes))
     rng = Rng(seed, (9,))
     v = rng.standard_normal(n)
     u = rng.standard_normal(n) / math.sqrt(args.noise_precision)
 
+    priors = [HypothesisPriors(p_null=p0, sigma_b=args.sigma_b) for p0 in p_nulls]
     rows = []
     for m in prefixes:
         data = ToyData(v[:m], u[:m], args.noise_precision)
         log_null = marginal_likelihood_null(data)
-        for p0 in p_nulls:
-            prior = HypothesisPriors(p_null=p0, sigma_b=args.sigma_b)
-            log_pos = marginal_likelihood_positive(data, prior)
+        # the positive marginal depends on sigma_b only, not on the null mass
+        log_pos = marginal_likelihood_positive(data, priors[0])
+        for prior in priors:
             rows.append(
                 {
                     "n": m,
-                    "p_null": p0,
-                    "delta": delta(data, prior),
+                    "p_null": prior.p_null,
+                    "delta": delta(log_null, log_pos, prior),
                     "log_marginal_null": log_null,
                     "log_marginal_positive": log_pos,
                 }
@@ -423,16 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, CohortParseError, SingularDesignError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        print(f"error: bad config file: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (InsufficientSamplesError, DegenerateChainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ParameterError, CohortParseError, InsufficientSamplesError, DegenerateChainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, InitializationError) as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CohortParseError, ParameterError
 from .rng import Rng
 
-__all__ = ["CohortConfig", "CohortRecord", "Cohort", "simulate_cohort", "write_cohort", "read_cohort"]
+__all__ = ["CohortConfig", "Cohort", "simulate_cohort", "write_cohort", "read_cohort"]
 
 # stream ids under the cohort seed, one per simulated variable
 _STREAM_X, _STREAM_E, _STREAM_Y, _STREAM_Z = 0, 1, 2, 3
@@ -52,24 +52,8 @@ class CohortConfig:
             raise ParameterError(f"unknown outcome_kind {self.outcome_kind!r}")
 
 
-@dataclass(frozen=True)
-class CohortRecord:
-    x_true: float
-    w_obs: float
-    y: float
-    z: int
-
-    def __post_init__(self):
-        if not (self.x_true > 0):
-            raise ParameterError(f"x_true must be > 0, got {self.x_true}")
-        if not (self.w_obs > 0):
-            raise ParameterError(f"w_obs must be > 0, got {self.w_obs}")
-        if self.z not in (0, 1):
-            raise ParameterError(f"z must be 0 or 1, got {self.z}")
-
-
 class Cohort:
-    """Column-oriented cohort; ``records`` views are built on demand."""
+    """Column-oriented cohort: finite values, strictly positive exposures."""
 
     def __init__(self, x_true, w_obs, y, z, config: CohortConfig | None = None):
         self.x_true = np.asarray(x_true, dtype=float)
@@ -79,6 +63,8 @@ class Cohort:
         n = len(self.x_true)
         if not (len(self.w_obs) == len(self.y) == len(self.z) == n):
             raise ParameterError("cohort columns must have equal length")
+        if not all(np.isfinite(c).all() for c in (self.x_true, self.w_obs, self.y)):
+            raise ParameterError("cohort values must be finite")
         if np.any(self.x_true <= 0) or np.any(self.w_obs <= 0):
             raise ParameterError("exposures must be strictly positive")
         if config is not None and config.n != n:
@@ -87,13 +73,6 @@ class Cohort:
 
     def __len__(self):
         return len(self.x_true)
-
-    @property
-    def records(self) -> list[CohortRecord]:
-        return [
-            CohortRecord(float(x), float(w), float(y), int(z))
-            for x, w, y, z in zip(self.x_true, self.w_obs, self.y, self.z)
-        ]
 
     def __eq__(self, other):
         if not isinstance(other, Cohort):
@@ -199,6 +178,8 @@ def read_cohort(path) -> Cohort:
                 z = int(fields[3])
             except ValueError as exc:
                 raise CohortParseError(str(exc), lineno) from exc
+            if not (math.isfinite(x) and math.isfinite(w) and math.isfinite(y)):
+                raise CohortParseError(f"non-finite value in {line!r}", lineno)
             if not (x > 0):
                 raise CohortParseError(f"x_true must be > 0, got {x}", lineno)
             if not (w > 0):

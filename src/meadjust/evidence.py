@@ -127,11 +127,8 @@ def marginal_likelihood_positive(data: ToyData, prior: HypothesisPriors) -> floa
     return shift + math.log(value)
 
 
-def delta(data: ToyData, prior: HypothesisPriors) -> float:
-    """Evidence ratio of the null against the positive association:
-    p(data|b=0)p(b=0) / p(data|b>0)p(b>0)."""
-    log_null = marginal_likelihood_null(data)
-    log_pos = marginal_likelihood_positive(data, prior)
-    return math.exp(
-        log_null + math.log(prior.p_null) - log_pos - math.log(prior.p_pos)
-    )
+def delta(log_null: float, log_pos: float, prior: HypothesisPriors) -> float:
+    """Evidence ratio of the null against the positive association,
+    p(data|b=0)p(b=0) / p(data|b>0)p(b>0), from the two log marginals
+    (``marginal_likelihood_null`` and ``marginal_likelihood_positive``)."""
+    return math.exp(log_null + math.log(prior.p_null) - log_pos - math.log(prior.p_pos))

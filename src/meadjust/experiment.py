@@ -64,32 +64,33 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown report format {f!r}")
 
 
-def experiment_to_dict(cfg: ExperimentConfig, include_output: bool = True) -> dict:
-    d = {
+def experiment_to_dict(cfg: ExperimentConfig) -> dict:
+    """The semantic config: output directory and formats are left out."""
+    return {
         "cohort": dataclasses.asdict(cfg.cohort),
         "mcmc": dataclasses.asdict(cfg.mcmc),
         "prior_variants": list(cfg.prior_variants),
         "model_kinds": list(cfg.model_kinds),
     }
-    if include_output:
-        d["out_dir"] = cfg.out_dir
-        d["formats"] = list(cfg.formats)
-    return d
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ParameterError("config must be a JSON object")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     extra = set(d) - known
     if extra:
         raise ParameterError(f"unknown config keys: {sorted(extra)}")
     kwargs = dict(d)
-    if "cohort" in kwargs:
-        kwargs["cohort"] = CohortConfig(**kwargs["cohort"])
-    if "mcmc" in kwargs:
-        kwargs["mcmc"] = McmcConfig(**kwargs["mcmc"])
-    for key in ("prior_variants", "model_kinds", "formats"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+    try:
+        for key, cls in (("cohort", CohortConfig), ("mcmc", McmcConfig)):
+            if key in kwargs:
+                kwargs[key] = cls(**kwargs[key])
+        for key in ("prior_variants", "model_kinds", "formats"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+    except TypeError as exc:
+        raise ParameterError(f"bad config value for {key!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 
@@ -239,7 +240,7 @@ def replication_rows(cells: list[CellResult]) -> list[dict]:
 def provenance_block(cfg: ExperimentConfig | None = None, **extra) -> dict:
     block = {"tool": "meadjust", "version": __version__}
     if cfg is not None:
-        block["config"] = experiment_to_dict(cfg, include_output=False)
+        block["config"] = experiment_to_dict(cfg)
     block.update(extra)
     return block
 

@@ -107,6 +107,8 @@ class ModelSpec:
         object.__setattr__(self, "outcome", out)
         if len(w) != len(out):
             raise ParameterError("w and outcome must have equal length")
+        if not (np.isfinite(w).all() and np.isfinite(out).all()):
+            raise ParameterError("w and outcome must be finite")
         if np.any(w <= 0):
             raise ParameterError("observed exposures must be strictly positive")
         if self.kind == "linear" and self.priors.tau_eps is None:
@@ -289,39 +291,24 @@ def _mu_axis_logprior(a: float, prior) -> float:
     return _normal_logpdf(a, prior.mean, prior.variance)
 
 
-def _mu_logprior(mu: float, prior) -> float:
-    if isinstance(prior, LogNormalPrior):
-        if mu <= 0:
-            return -math.inf
-        return _normal_logpdf(math.log(mu), prior.log_mean, prior.log_variance) - math.log(mu)
-    return _normal_logpdf(mu, prior.mean, prior.variance)
-
-
 # ---------------------------------------------------------------------------
 # Likelihood pieces
 
 
-def _outcome_loglik_terms(state: ChainState, data: _Data, l) -> np.ndarray:
-    """Per-subject outcome log likelihood at latent log exposures l.
+def _outcome_loglik_terms(state: ChainState, data: _Data, l, coeff0: float, coeff: float) -> np.ndarray:
+    """Per-subject outcome log likelihood at latent log exposures l and
+    coefficients (coeff0, coeff), without the linear model's normalizing
+    constant (it depends on neither).
 
     Overflowing linear predictors propagate to -inf terms, which reject in
     any Metropolis ratio they enter.
     """
     t = data.covariate(l)
     with np.errstate(over="ignore"):
-        eta = state.coeff0 + state.coeff * t
+        eta = coeff0 + coeff * t
         if state.kind == "linear":
             return -0.5 * state.tau_eps * (data.outcome - eta) ** 2
         return data.outcome * eta - np.logaddexp(0.0, eta)
-
-
-def _outcome_loglik_full(state: ChainState, data: _Data, coeff0: float, coeff: float) -> float:
-    t = data.covariate(state.l)
-    eta = coeff0 + coeff * t
-    if state.kind == "linear":
-        r = data.outcome - eta
-        return float(0.5 * data.n * math.log(state.tau_eps / (2.0 * math.pi)) - 0.5 * state.tau_eps * (r @ r))
-    return float(data.outcome @ eta - np.logaddexp(0.0, eta).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +374,7 @@ def update_logistic_coeffs(state: ChainState, data: _Data):
     def log_target(c0, c1):
         lp = _normal_logpdf(c0, priors.coeff0.mean, priors.coeff0.variance)
         lp += _normal_logpdf(c1, priors.coeff.mean, priors.coeff.variance)
-        return lp + _outcome_loglik_full(state, data, c0, c1)
+        return lp + float(_outcome_loglik_terms(state, data, state.l, c0, c1).sum())
 
     logr = log_target(prop0, prop1) - log_target(state.coeff0, state.coeff)
     accepted = _mh_accept(state.rng, logr)
@@ -396,41 +383,26 @@ def update_logistic_coeffs(state: ChainState, data: _Data):
     state._count("coeffs", int(accepted), 1)
 
 
-def update_latent_exposure(state: ChainState, data: _Data, subject=None):
+def update_latent_exposure(state: ChainState, data: _Data):
     """Random-walk Metropolis on the latent log exposures.
 
     All subjects update in one vectorized pass (their conditionals are
-    independent given the parameters); pass ``subject`` to move one index
-    only. Rejections leave entries unchanged.
+    independent given the parameters). Rejections leave entries unchanged.
     """
-    idx = slice(None) if subject is None else np.atleast_1d(subject)
-    l_cur = state.l[idx]
-    m = len(np.atleast_1d(l_cur))
     sc = state.scales["latent"].scale
-    prop = l_cur + sc * state.rng.standard_normal(m)
-
-    log_w = data.log_w[idx]
-    out = data.outcome[idx]
+    prop = state.l + sc * state.rng.standard_normal(data.n)
 
     def per_subject_target(l):
-        t = data.covariate(l)
-        with np.errstate(over="ignore"):
-            eta = state.coeff0 + state.coeff * t
-            if state.kind == "linear":
-                ol = -0.5 * state.tau_eps * (out - eta) ** 2
-            else:
-                ol = out * eta - np.logaddexp(0.0, eta)
         return (
-            ol
-            - 0.5 * state.tau_e * (log_w - l) ** 2
+            _outcome_loglik_terms(state, data, l, state.coeff0, state.coeff)
+            - 0.5 * state.tau_e * (data.log_w - l) ** 2
             - 0.5 * state.tau_x * (l - state.mu_x) ** 2
         )
 
-    logr = per_subject_target(prop) - per_subject_target(l_cur)
-    accept = np.log(1.0 - state.rng.uniform(size=m)) < logr
-    new = np.where(accept, prop, l_cur)
-    state.l[idx] = new
-    state._count("latent", int(accept.sum()), m)
+    logr = per_subject_target(prop) - per_subject_target(state.l)
+    accept = np.log(1.0 - state.rng.uniform(size=data.n)) < logr
+    state.l[:] = np.where(accept, prop, state.l)
+    state._count("latent", int(accept.sum()), data.n)
 
 
 def update_mu_x_tau_x(state: ChainState, data: _Data):
@@ -523,8 +495,8 @@ def update_structural(state: ChainState, data: _Data):
     l_prop = cond_mean + state.rng.standard_normal(data.n) / math.sqrt(cond_prec)
 
     logr = (
-        float(_outcome_loglik_terms(state, data, l_prop).sum())
-        - float(_outcome_loglik_terms(state, data, state.l).sum())
+        float(_outcome_loglik_terms(state, data, l_prop, state.coeff0, state.coeff).sum())
+        - float(_outcome_loglik_terms(state, data, state.l, state.coeff0, state.coeff).sum())
         + _marginal_w_loglik(data.log_w, mu_prop, var_prop)
         - _marginal_w_loglik(data.log_w, state.mu_x, var_cur)
         + theta_logprior(a_prop, tau_x_prop, tau_e_prop)
@@ -653,7 +625,7 @@ def _check_finite_at_init(state: ChainState, data: _Data):
     checks = [
         ("coeff0", _normal_logpdf(state.coeff0, priors.coeff0.mean, priors.coeff0.variance)),
         ("coeff", _normal_logpdf(state.coeff, priors.coeff.mean, priors.coeff.variance)),
-        ("mu_x", _mu_logprior(state.mu_x, priors.mu_x)),
+        ("mu_x", _mu_axis_logprior(_mu_axis_value(state.mu_x, priors.mu_x), priors.mu_x)),
         ("tau_x", _gamma_logpdf(state.tau_x, priors.tau_x)),
     ]
     if data.spec.fixed_tau_e is None:
@@ -664,7 +636,8 @@ def _check_finite_at_init(state: ChainState, data: _Data):
     checks.append(("latent_exposure", -0.5 * state.tau_e * float(dev_e @ dev_e)))
     dev_x = state.l - state.mu_x
     checks.append(("latent_exposure", -0.5 * state.tau_x * float(dev_x @ dev_x)))
-    checks.append(("outcome", float(_outcome_loglik_terms(state, data, state.l).sum())))
+    outcome = _outcome_loglik_terms(state, data, state.l, state.coeff0, state.coeff)
+    checks.append(("outcome", float(outcome.sum())))
     for name, value in checks:
         if not math.isfinite(value):
             raise InitializationError(name, f"log-posterior term = {value}")

@@ -87,20 +87,15 @@ def _resolve_tau_e(tau_e: str | GammaParams) -> GammaParams:
 def linear_priors(
     tau_e: str | GammaParams = "uninformative",
     mu_x_normal: bool = False,
-    lognormal_reads_precision: bool = False,
 ) -> PriorSet:
     """Priors for the linear disease model.
 
     Replication default keeps the lognormal prior on the exposure location
     (which confines it to positive values); ``mu_x_normal`` swaps in a
-    N(0, 100) prior instead. ``lognormal_reads_precision`` selects the
-    alternative reading of the lognormal prior's second parameter as a
-    precision rather than a variance.
+    N(0, 100) prior instead.
     """
     if mu_x_normal:
         mu_x: NormalPrior | LogNormalPrior = NormalPrior(0.0, 100.0)
-    elif lognormal_reads_precision:
-        mu_x = LogNormalPrior(0.0, 1.0 / 100.0)
     else:
         mu_x = LogNormalPrior(0.0, 100.0)
     return PriorSet(

@@ -15,15 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = [
-    "Rng",
-    "GammaParams",
-    "LogNormalParams",
-    "sample_normal",
-    "sample_lognormal",
-    "sample_gamma",
-    "sample_bernoulli",
-]
+__all__ = ["Rng", "GammaParams", "sample_gamma"]
 
 
 @dataclass(frozen=True)
@@ -46,18 +38,6 @@ class GammaParams:
     @property
     def variance(self) -> float:
         return self.shape * self.scale**2
-
-
-@dataclass(frozen=True)
-class LogNormalParams:
-    """Lognormal with log-scale mean ``mu`` and log-scale precision ``tau``."""
-
-    mu: float
-    tau: float
-
-    def __post_init__(self):
-        if not (self.tau > 0):
-            raise ParameterError(f"lognormal precision must be > 0, got {self.tau}")
 
 
 class Rng:
@@ -93,35 +73,6 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
-
-
-def sample_normal(rng: Rng, mean: float, precision: float, size=None):
-    """Normal draw(s) with the given mean and precision (inverse variance)."""
-    if not (precision > 0):
-        raise ParameterError(f"normal precision must be > 0, got {precision}")
-    sd = 1.0 / math.sqrt(precision)
-    return mean + sd * rng.standard_normal(size=size)
-
-
-def sample_lognormal(rng: Rng, params: LogNormalParams, size=None):
-    """exp of a normal(mu, 1/tau) draw; strictly positive."""
-    return np.exp(sample_normal(rng, params.mu, params.tau, size=size))
-
-
-def sample_bernoulli(rng: Rng, p, size=None):
-    """Bernoulli draw(s): 1 with probability p.
-
-    Accepts a scalar p or an array of per-draw probabilities (with matching
-    ``size``).
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ParameterError("bernoulli p must lie in [0, 1]")
-    u = rng.uniform(size=size)
-    out = (u < p).astype(np.int64)
-    if size is None and out.ndim == 0:
-        return int(out)
-    return out
 
 
 def _gamma_shape_ge1(rng: Rng, shape: float, n: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from meadjust import (
     fit_logistic,
     full_conditional_coeffs_linear,
     full_conditional_precision,
+    marginal_likelihood_null,
     marginal_likelihood_positive,
     run_chains,
     simulate_cohort,
@@ -231,9 +232,13 @@ def test_criterion_7_heuristic_evidence_ratio():
     data_1000 = ToyData(v, u, 1.0)
     data_10 = ToyData(v[:10], u[:10], 1.0)
     equal = HypothesisPriors(0.5, 1.0)
-    d_1000 = delta(data_1000, equal)
-    d_10 = delta(data_10, equal)
-    d_skeptical = delta(data_1000, HypothesisPriors(0.01, 1.0))
+
+    def delta_of(data, prior):
+        return delta(marginal_likelihood_null(data), marginal_likelihood_positive(data, prior), prior)
+
+    d_1000 = delta_of(data_1000, equal)
+    d_10 = delta_of(data_10, equal)
+    d_skeptical = delta_of(data_1000, HypothesisPriors(0.01, 1.0))
 
     # quadrature vs Monte Carlo marginal on a 20-point prefix
     data_mc = ToyData(v[:20], u[:20], 1.0)

@@ -213,10 +213,37 @@ def test_replicate_flag_overrides(tmp_path):
 
 def test_replicate_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"cohort": {"n": 100}, "mystery": 1}))
-    rc = main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
-    assert rc == 2
-    assert "mystery" in capsys.readouterr().err
+    cases = [
+        ({"cohort": {"n": 100}, "mystery": 1}, "mystery"),
+        ({"cohort": {"nn": 5}}, "cohort"),
+        ({"cohort": 5}, "cohort"),
+        ({"mcmc": {"n_chains": "3"}}, "mcmc"),
+    ]
+    for config, key in cases:
+        path.write_text(json.dumps(config))
+        rc = main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2, config
+        assert key in capsys.readouterr().err, config
+
+
+def test_bad_config_json_exit_code(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{not json")
+    assert main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "bad config file" in capsys.readouterr().err
+
+
+def test_naive_non_finite_cohort_exit_code(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    path.write_text("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n2.0,inf,1.0,0\n3.0,3.0,nan,1\n")
+    assert main(["naive", str(path), "--kind", "linear", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_evidence_empty_lists_exit_code(tmp_path, capsys):
+    for flag in ("--prefixes", "--p-null"):
+        assert main(["evidence", flag, "", "--out-dir", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_evidence_table(tmp_path, capsys):

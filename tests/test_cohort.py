@@ -7,8 +7,10 @@ from meadjust import (
     Cohort,
     CohortConfig,
     CohortParseError,
+    ModelSpec,
     ParameterError,
     fit_linear,
+    linear_priors,
     read_cohort,
     simulate_cohort,
     write_cohort,
@@ -119,6 +121,9 @@ def test_negative_exposure_rejected(tmp_path):
         ("x_true,w_obs,y,z\n1.0,1.0,abc,0\n", 2),
         ("x_true,w_obs,y,z\n1.0,1.0,0.0,2\n", 2),
         ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,1.0,0.0,7\n", 3),
+        ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,inf,0.0,0\n", 3),
+        ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,1.0,nan,0\n", 3),
+        ("x_true,w_obs,y,z\ninf,1.0,0.0,1\n", 2),
     ],
 )
 def test_malformed_files_name_line(tmp_path, body, lineno):
@@ -133,3 +138,12 @@ def test_cohort_invariants_enforced():
         Cohort([1.0, -1.0], [1.0, 1.0], [0.0, 0.0], [0, 0])
     with pytest.raises(ParameterError):
         Cohort([1.0], [1.0, 1.0], [0.0], [0])
+    for x, w, y in (([math.inf], [1.0], [0.0]), ([1.0], [math.inf], [0.0]), ([1.0], [1.0], [math.nan])):
+        with pytest.raises(ParameterError, match="finite"):
+            Cohort(x, w, y, [0])
+
+
+def test_model_spec_rejects_non_finite():
+    for w, y in (([1.0, math.inf], [0.0, 0.0]), ([1.0, 2.0], [math.nan, 0.0])):
+        with pytest.raises(ParameterError, match="finite"):
+            ModelSpec(kind="linear", w=w, outcome=y, priors=linear_priors())

@@ -26,6 +26,10 @@ def _null_data(n, seed=0, precision=1.0):
     return ToyData(v, u, precision)
 
 
+def _delta(data, prior):
+    return delta(marginal_likelihood_null(data), marginal_likelihood_positive(data, prior), prior)
+
+
 def _closed_form_positive(data, prior):
     """Analytic Gaussian-integral marginal for the linear toy model."""
     tau = data.noise_precision
@@ -109,41 +113,41 @@ def test_quadrature_failure_raises(monkeypatch):
 
 def test_delta_equal_masses_zero_predictor_is_one():
     data = ToyData(np.zeros(30), Rng(10, (9,)).standard_normal(30), 1.0)
-    assert delta(data, HypothesisPriors(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert _delta(data, HypothesisPriors(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_delta_zero_predictor_equals_prior_odds():
     data = ToyData(np.zeros(30), Rng(11, (9,)).standard_normal(30), 1.0)
     for p0 in (0.2, 0.5, 0.9):
-        assert delta(data, HypothesisPriors(p0, 1.0)) == pytest.approx(p0 / (1 - p0), rel=1e-12)
+        assert _delta(data, HypothesisPriors(p0, 1.0)) == pytest.approx(p0 / (1 - p0), rel=1e-12)
 
 
 def test_delta_null_data_favors_null_and_grows_with_n():
     data = _null_data(1000, seed=1)
     prior = HypothesisPriors(0.5, 1.0)
-    d_1000 = delta(data, prior)
-    d_10 = delta(ToyData(data.v[:10], data.u[:10], 1.0), prior)
+    d_1000 = _delta(data, prior)
+    d_10 = _delta(ToyData(data.v[:10], data.u[:10], 1.0), prior)
     assert d_1000 > 5.0
     assert d_1000 > d_10
 
 
 def test_delta_vanishes_when_null_rejected_a_priori():
     data = _null_data(1000, seed=1)
-    d = delta(data, HypothesisPriors(0.01, 1.0))
+    d = _delta(data, HypothesisPriors(0.01, 1.0))
     assert d < 1.0
-    tiny = delta(data, HypothesisPriors(1e-6, 1.0))
+    tiny = _delta(data, HypothesisPriors(1e-6, 1.0))
     assert tiny < 1e-3
 
 
 def test_delta_strictly_increasing_in_null_mass():
     data = _null_data(200, seed=13)
-    values = [delta(data, HypothesisPriors(p, 1.0)) for p in np.linspace(0.05, 0.95, 10)]
+    values = [_delta(data, HypothesisPriors(p, 1.0)) for p in np.linspace(0.05, 0.95, 10)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_median_delta_over_seeds_exceeds_one():
     prior = HypothesisPriors(0.5, 1.0)
-    deltas = [delta(_null_data(1000, seed=100 + k), prior) for k in range(100)]
+    deltas = [_delta(_null_data(1000, seed=100 + k), prior) for k in range(100)]
     assert np.median(deltas) > 1.0
 
 

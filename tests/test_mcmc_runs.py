@@ -139,12 +139,14 @@ def test_no_measurement_error_reduction_logistic():
 
 def test_initialization_error_names_parameter():
     cohort = simulate_cohort(CohortConfig(n=50, seed=6))
-    bad_outcome = cohort.y.copy()
-    bad_outcome[0] = np.nan
+    # non-finite data is rejected by ModelSpec; a finite but huge exposure
+    # still overflows the squared residual of the linear outcome term
+    huge_w = cohort.w_obs.copy()
+    huge_w[0] = 1e200
     spec = ModelSpec(
         kind="linear",
-        w=cohort.w_obs,
-        outcome=bad_outcome,
+        w=huge_w,
+        outcome=cohort.y,
         priors=linear_priors(),
     )
     cfg = McmcConfig(n_chains=1, burn_in=10, keep=10, thin=1, seed=0)

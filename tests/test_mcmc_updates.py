@@ -46,19 +46,6 @@ def test_latent_no_error_limit_sticks_to_log_w():
     assert np.max(np.abs(state.l - data.log_w)) < 1e-5
 
 
-def test_latent_single_subject_moves_only_that_index():
-    rng = np.random.default_rng(1)
-    w = rng.lognormal(size=20)
-    spec = _linear_spec(w, rng.normal(size=20))
-    state = _state(spec)
-    before = state.l.copy()
-    for _ in range(50):
-        update_latent_exposure(state, mcmc._Data(spec), subject=3)
-    changed = state.l != before
-    assert changed[3]
-    assert not changed[np.arange(20) != 3].any()
-
-
 def test_latent_shrinkage_oracle():
     """With the outcome term flat (slope 0) and tau_e = tau_x, the latent
     stationary law is N((log w + mu_x)/2, 1/(tau_e+tau_x)) per subject."""

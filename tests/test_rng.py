@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 
 from meadjust.errors import ParameterError
-from meadjust.rng import (
-    GammaParams,
-    LogNormalParams,
-    Rng,
-    sample_bernoulli,
-    sample_gamma,
-    sample_lognormal,
-    sample_normal,
-)
+from meadjust.priors import LogNormalPrior
+from meadjust.rng import GammaParams, Rng, sample_gamma
 
 N = 1_000_000
 
 
 def test_same_seed_identical_streams():
-    a = sample_normal(Rng(42), 0.0, 1.0, size=1000)
-    b = sample_normal(Rng(42), 0.0, 1.0, size=1000)
+    a = Rng(42).standard_normal(1000)
+    b = Rng(42).standard_normal(1000)
     assert np.array_equal(a, b)
 
 
@@ -37,38 +30,17 @@ def test_split_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_normal_rejects_bad_precision():
-    with pytest.raises(ParameterError):
-        sample_normal(Rng(0), 0.0, 0.0)
-    with pytest.raises(ParameterError):
-        sample_normal(Rng(0), 0.0, -1.0)
-
-
-def test_normal_degenerate_precision_limit():
-    draws = sample_normal(Rng(1), 3.5, 1e12, size=1000)
-    assert np.max(np.abs(draws - 3.5)) < 1e-5
-
-
 def test_normal_moments():
-    draws = sample_normal(Rng(2), 0.0, 1.0, size=N)
+    draws = Rng(2).standard_normal(N)
     assert abs(draws.mean()) < 0.005
     assert abs(draws.var() - 1.0) < 0.01
 
 
-def test_lognormal_median_and_log_moments():
-    draws = sample_lognormal(Rng(3), LogNormalParams(0.0, 1.0), size=N)
-    assert np.all(draws > 0)
-    assert abs(np.median(draws) - 1.0) < 0.01
-    logs = np.log(draws)
-    assert abs(logs.mean()) < 0.005
-    assert abs(logs.var() - 1.0) < 0.01
-
-
 def test_lognormal_params_validated_at_construction():
     with pytest.raises(ParameterError):
-        LogNormalParams(0.0, 0.0)
+        LogNormalPrior(0.0, 0.0)
     with pytest.raises(ParameterError):
-        LogNormalParams(0.0, -2.0)
+        LogNormalPrior(0.0, -2.0)
 
 
 @pytest.mark.parametrize(
@@ -109,25 +81,6 @@ def test_gamma_scalar_draw():
     assert isinstance(x, float) and x > 0
 
 
-def test_bernoulli_endpoints_exact():
-    assert np.all(sample_bernoulli(Rng(9), 0.0, size=10_000) == 0)
-    assert np.all(sample_bernoulli(Rng(9), 1.0, size=10_000) == 1)
-
-
-def test_bernoulli_rates():
-    draws = sample_bernoulli(Rng(10), 0.05, size=N)
-    assert abs(draws.mean() - 0.05) < 0.001
-    draws = sample_bernoulli(Rng(11), 0.5, size=N)
-    assert abs(draws.mean() - 0.5) < 0.002
-
-
-def test_bernoulli_rejects_bad_p():
-    with pytest.raises(ParameterError):
-        sample_bernoulli(Rng(0), -0.1)
-    with pytest.raises(ParameterError):
-        sample_bernoulli(Rng(0), 1.1)
-
-
 def _moment_check(draws, mean, var, excess_kurtosis):
     n = len(draws)
     se_mean = math.sqrt(var / n)
@@ -138,24 +91,6 @@ def _moment_check(draws, mean, var, excess_kurtosis):
 
 def test_moment_matching_all_samplers():
     """First two moments within 4 analytic standard errors at n=10^6."""
-    _moment_check(sample_normal(Rng(12), 2.0, 4.0, size=N), 2.0, 0.25, 0.0)
-
-    params = LogNormalParams(0.3, 2.0)
-    draws = sample_lognormal(Rng(13), params, size=N)
-    s2 = 0.5
-    ln_mean = math.exp(0.3 + s2 / 2)
-    ln_var = (math.exp(s2) - 1.0) * math.exp(2 * 0.3 + s2)
-    ln_kurt = math.exp(4 * s2) + 2 * math.exp(3 * s2) + 3 * math.exp(2 * s2) - 6
-    _moment_check(draws, ln_mean, ln_var, ln_kurt)
-
     for shape, scale in [(0.5, 2.0), (3.0, 0.5)]:
         g = GammaParams(shape, scale)
         _moment_check(sample_gamma(Rng(14), g, size=N), g.mean, g.variance, 6.0 / shape)
-
-    p = 0.05
-    _moment_check(
-        sample_bernoulli(Rng(15), p, size=N).astype(float),
-        p,
-        p * (1 - p),
-        (1 - 6 * p * (1 - p)) / (p * (1 - p)),
-    )
