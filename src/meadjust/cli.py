@@ -50,6 +50,13 @@ def _comma_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _number_list(value: str, convert, flag: str) -> list:
+    try:
+        return [convert(v) for v in _comma_list(value)]
+    except ValueError:
+        raise ParameterError(f"{flag} takes comma-separated numbers, got {value!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     parser.add_argument("--config", default=None, help="JSON experiment config file")
@@ -364,10 +371,14 @@ def _cmd_replicate(args) -> int:
 def _cmd_evidence(args) -> int:
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
-    prefixes = sorted({int(x) for x in _comma_list(args.prefixes)})
-    p_nulls = [float(x) for x in _comma_list(args.p_null)]
+    prefixes = sorted(set(_number_list(args.prefixes, int, "--prefixes")))
+    p_nulls = _number_list(args.p_null, float, "--p-null")
     if not prefixes or not p_nulls:
         raise ParameterError("--prefixes and --p-null each need at least one value")
+    if prefixes[0] < 1:
+        raise ParameterError(f"--prefixes must be positive, got {prefixes[0]}")
+    if not (args.noise_precision > 0):
+        raise ParameterError(f"--noise-precision must be > 0, got {args.noise_precision}")
     n = max(args.n, max(prefixes))
     rng = Rng(seed, (9,))
     v = rng.standard_normal(n)

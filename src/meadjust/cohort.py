@@ -53,12 +53,15 @@ class CohortConfig:
 
 
 class Cohort:
-    """Column-oriented cohort: finite values, strictly positive exposures."""
+    """Column-oriented cohort: finite values, strictly positive exposures,
+    binary outcomes in {0, 1}."""
 
     def __init__(self, x_true, w_obs, y, z, config: CohortConfig | None = None):
         self.x_true = np.asarray(x_true, dtype=float)
         self.w_obs = np.asarray(w_obs, dtype=float)
         self.y = np.asarray(y, dtype=float)
+        if not np.isin(z, (0, 1)).all():
+            raise ParameterError("binary outcomes z must be 0 or 1")
         self.z = np.asarray(z, dtype=np.int64)
         n = len(self.x_true)
         if not (len(self.w_obs) == len(self.y) == len(self.z) == n):

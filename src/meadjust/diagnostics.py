@@ -82,11 +82,7 @@ def summarize(samples, parameter: str = "") -> PosteriorSummary:
     )
 
 
-def transform_summary(samples, parameter: str = "", transform=np.exp) -> PosteriorSummary:
-    """Summarize a monotone transform of the draws (e.g. odds ratio from the
-    logistic slope); the mean is the mean of transformed draws, not the
-    transformed mean."""
-    s = np.asarray(samples, dtype=float)
-    if len(s) < 100:
-        raise InsufficientSamplesError(f"need >= 100 draws to summarize, got {len(s)}")
-    return summarize(transform(s), parameter=parameter)
+def transform_summary(samples, parameter: str = "") -> PosteriorSummary:
+    """Summarize exp of the draws (the odds ratio from the logistic slope);
+    the mean is the mean of transformed draws, not the transformed mean."""
+    return summarize(np.exp(np.asarray(samples, dtype=float)), parameter=parameter)

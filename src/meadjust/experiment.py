@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import Cohort, CohortConfig, simulate_cohort
-from .diagnostics import RHAT_GATE, PosteriorSummary, RhatReport, rhat, summarize, transform_summary
+from .diagnostics import PosteriorSummary, RhatReport, rhat, summarize, transform_summary
 from .errors import ParameterError
 from .mcmc import McmcConfig, ModelSpec, PosteriorSamples, run_chains
 from .priors import PRIOR_VARIANT_ORDER, linear_priors, logistic_priors
@@ -126,11 +126,11 @@ class CellResult:
 
     @property
     def converged(self) -> bool:
-        return all(r.rhat < RHAT_GATE for r in self.rhats)
+        return all(r.converged for r in self.rhats)
 
     @property
     def gate_failures(self) -> list[str]:
-        return [r.parameter for r in self.rhats if not (r.rhat < RHAT_GATE)]
+        return [r.parameter for r in self.rhats if not r.converged]
 
     @property
     def cri_contains_null(self) -> bool:
@@ -330,7 +330,7 @@ def summary_rows(cell: CellResult) -> list[dict]:
 def rhat_rows(cell: CellResult) -> list[dict]:
     rows = []
     for r in cell.rhats:
-        row = {"parameter": r.parameter, "rhat": r.rhat, "converged": r.rhat < RHAT_GATE}
+        row = {"parameter": r.parameter, "rhat": r.rhat, "converged": r.converged}
         for i, (m, v) in enumerate(zip(r.chain_means, r.chain_variances)):
             row[f"chain{i}_mean"] = m
             row[f"chain{i}_var"] = v

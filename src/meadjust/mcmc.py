@@ -4,9 +4,15 @@ The model has three pieces: an outcome model (normal or Bernoulli) on the
 latent true exposure, a lognormal measurement model linking observed to
 true exposure, and a lognormal population model for true exposure. The
 latent log exposures l_i = log X_i are sampled per subject; conjugate
-blocks use Gibbs draws and the rest use adaptive random-walk Metropolis
-(scales tuned during burn-in only, frozen afterwards so retained draws
-come from a fixed kernel).
+blocks use Gibbs draws and the rest use random-walk Metropolis.
+
+Each Metropolis block (latent exposures, logistic coefficients, the
+lognormal-prior exposure location, the structural move) owns one
+``Proposal``: its step size, tuned towards a target acceptance rate, and
+for the 3-D structural move a running proposal covariance (Haario,
+Saksman & Tamminen 2001). Proposals adapt during burn-in only and are then
+frozen, so retained draws come from a fixed kernel; from then on they
+count the acceptances that ``PosteriorSamples.acceptance_rates`` reports.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -83,9 +89,6 @@ class ModelSpec:
     selects the covariate the outcome model sees: the exposure itself
     ("identity", the replication default) or its log ("log", where the
     classical attenuation factor applies and signal recovery is testable).
-
-    ``fixed_tau_e`` and ``fix_latent_at_log_w`` pin parts of the model for
-    degenerate-reduction checks (no-measurement-error limit).
     """
 
     kind: str  # "linear" | "logistic"
@@ -93,8 +96,6 @@ class ModelSpec:
     outcome: np.ndarray
     priors: PriorSet
     exposure_transform: str = "identity"
-    fixed_tau_e: float | None = None
-    fix_latent_at_log_w: bool = False
 
     def __post_init__(self):
         if self.kind not in ("linear", "logistic"):
@@ -116,8 +117,6 @@ class ModelSpec:
         if self.kind == "logistic":
             if not set(np.unique(out)) <= {0.0, 1.0}:
                 raise ParameterError("logistic outcome must be 0/1")
-        if self.fixed_tau_e is not None and not (self.fixed_tau_e > 0):
-            raise ParameterError("fixed_tau_e must be > 0")
 
     @classmethod
     def from_cohort(
@@ -126,7 +125,6 @@ class ModelSpec:
         kind: str,
         priors: PriorSet,
         exposure_transform: str = "identity",
-        **kwargs,
     ) -> "ModelSpec":
         outcome = cohort.y if kind == "linear" else cohort.z
         return cls(
@@ -135,7 +133,6 @@ class ModelSpec:
             outcome=np.asarray(outcome, dtype=float),
             priors=priors,
             exposure_transform=exposure_transform,
-            **kwargs,
         )
 
     @property
@@ -160,20 +157,38 @@ class _Data:
 
 
 # ---------------------------------------------------------------------------
-# Chain state and adaptive proposal scales
+# Chain state and per-block proposals
 
 
-@dataclass
-class AdaptiveScale:
-    """Windowed Robbins-Monro tuning of one Metropolis block's step size."""
+_ADAPT_WINDOW = 50  # scans between step-size updates during burn-in
+_COV_INIT_SD = 0.3  # proposal sd per axis until a covariance is learnt
 
-    scale: float
-    target: float
-    window: int = 50
-    accepted: float = 0.0
-    attempts: int = 0
-    rounds: int = 0
-    frozen: bool = False
+
+class Proposal:
+    """Random-walk proposal of one Metropolis block and its adaptation.
+
+    The step size follows a windowed Robbins-Monro rule towards ``target``.
+    With ``dim`` set, the block also learns a running proposal covariance
+    (Haario-style adaptive Metropolis). ``freeze`` ends both and restarts
+    the acceptance counts, which from then on cover the retained scans.
+    """
+
+    def __init__(self, scale: float, target: float, dim: int | None = None):
+        self.scale = scale
+        self.target = target
+        self.accepted = 0.0
+        self.attempts = 0
+        self.rounds = 0
+        self.frozen = False
+        if dim is not None:
+            self.count = 0
+            self.mean = np.zeros(dim)
+            self.m2 = np.zeros((dim, dim))
+            self.chol = _COV_INIT_SD * np.eye(dim)
+
+    @property
+    def rate(self) -> float:
+        return self.accepted / self.attempts if self.attempts else math.nan
 
     def record(self, accepted, attempts):
         self.accepted += float(accepted)
@@ -182,28 +197,17 @@ class AdaptiveScale:
     def end_scan(self, iteration: int):
         if self.frozen or self.attempts == 0:
             return
-        if (iteration + 1) % self.window == 0:
-            rate = self.accepted / self.attempts
+        if (iteration + 1) % _ADAPT_WINDOW == 0:
             self.rounds += 1
-            step = (rate - self.target) / math.sqrt(self.rounds)
+            step = (self.rate - self.target) / math.sqrt(self.rounds)
             self.scale *= math.exp(max(-0.7, min(0.7, step)))
             self.accepted = 0.0
             self.attempts = 0
 
+    def step(self, rng: Rng) -> np.ndarray:
+        return self.scale * (self.chol @ rng.standard_normal(len(self.mean)))
 
-class AdaptiveCov:
-    """Running proposal covariance for a multivariate Metropolis block
-    (Haario-style adaptive Metropolis; frozen after burn-in)."""
-
-    def __init__(self, dim: int, init_sd: float = 0.3):
-        self.dim = dim
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-        self.chol = init_sd * np.eye(dim)
-        self.frozen = False
-
-    def update(self, x: np.ndarray, iteration: int):
+    def update_cov(self, x: np.ndarray, iteration: int):
         if self.frozen:
             return
         self.count += 1
@@ -211,14 +215,16 @@ class AdaptiveCov:
         self.mean += delta / self.count
         self.m2 += np.outer(delta, x - self.mean)
         if self.count >= 100 and (iteration + 1) % 25 == 0:
-            cov = self.m2 / (self.count - 1) + 1e-9 * np.eye(self.dim)
+            cov = self.m2 / (self.count - 1) + 1e-9 * np.eye(len(self.mean))
             try:
                 self.chol = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 pass
 
-    def propose_step(self, rng: Rng, scale: float) -> np.ndarray:
-        return scale * (self.chol @ rng.standard_normal(self.dim))
+    def freeze(self):
+        self.frozen = True
+        self.accepted = 0.0
+        self.attempts = 0
 
 
 @dataclass
@@ -235,37 +241,19 @@ class ChainState:
     l: np.ndarray
     rng: Rng
     iteration: int = 0
-    scales: dict[str, AdaptiveScale] = field(default_factory=dict)
-    struct_cov: AdaptiveCov | None = None
-    accept_counts: dict[str, list] = field(default_factory=dict)
-
-    def _count(self, block: str, accepted, attempts):
-        acc = self.accept_counts.setdefault(block, [0.0, 0])
-        acc[0] += float(accepted)
-        acc[1] += int(attempts)
-        if block in self.scales:
-            self.scales[block].record(accepted, attempts)
-
-    def acceptance_rate(self, block: str) -> float:
-        acc, att = self.accept_counts.get(block, (0.0, 0))
-        return acc / att if att else math.nan
-
-    def reset_acceptance(self):
-        self.accept_counts = {}
+    proposals: dict[str, Proposal] = field(default_factory=dict)
 
 
-def _default_scales(spec: ModelSpec) -> dict[str, AdaptiveScale]:
-    scales = {"latent": AdaptiveScale(scale=1.0, target=0.44)}
+def _default_proposals(spec: ModelSpec) -> dict[str, Proposal]:
+    """One proposal per Metropolis block of the spec, in scan order."""
+    proposals = {}
     if spec.kind == "logistic":
-        scales["coeffs"] = AdaptiveScale(scale=0.5, target=0.234)
+        proposals["coeffs"] = Proposal(scale=0.5, target=0.234)
     if isinstance(spec.priors.mu_x, LogNormalPrior):
-        scales["mu_x"] = AdaptiveScale(scale=0.5, target=0.44)
-    scales["structural"] = AdaptiveScale(scale=1.0, target=0.234)
-    return scales
-
-
-def _structural_cov(spec: ModelSpec) -> AdaptiveCov:
-    return AdaptiveCov(dim=3 if spec.fixed_tau_e is None else 2)
+        proposals["mu_x"] = Proposal(scale=0.5, target=0.44)
+    proposals["latent"] = Proposal(scale=1.0, target=0.44)
+    proposals["structural"] = Proposal(scale=1.0, target=0.234, dim=3)
+    return proposals
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +355,7 @@ def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
 def update_logistic_coeffs(state: ChainState, data: _Data):
     """Joint random-walk Metropolis on the logistic (intercept, slope)."""
     priors = data.spec.priors
-    sc = state.scales["coeffs"].scale
+    sc = state.proposals["coeffs"].scale
     prop0 = state.coeff0 + sc * state.rng.standard_normal()
     prop1 = state.coeff + sc * state.rng.standard_normal()
 
@@ -380,7 +368,7 @@ def update_logistic_coeffs(state: ChainState, data: _Data):
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.coeff0, state.coeff = float(prop0), float(prop1)
-    state._count("coeffs", int(accepted), 1)
+    state.proposals["coeffs"].record(accepted, 1)
 
 
 def update_latent_exposure(state: ChainState, data: _Data):
@@ -389,7 +377,7 @@ def update_latent_exposure(state: ChainState, data: _Data):
     All subjects update in one vectorized pass (their conditionals are
     independent given the parameters). Rejections leave entries unchanged.
     """
-    sc = state.scales["latent"].scale
+    sc = state.proposals["latent"].scale
     prop = state.l + sc * state.rng.standard_normal(data.n)
 
     def per_subject_target(l):
@@ -402,7 +390,7 @@ def update_latent_exposure(state: ChainState, data: _Data):
     logr = per_subject_target(prop) - per_subject_target(state.l)
     accept = np.log(1.0 - state.rng.uniform(size=data.n)) < logr
     state.l[:] = np.where(accept, prop, state.l)
-    state._count("latent", int(accept.sum()), data.n)
+    state.proposals["latent"].record(accept.sum(), data.n)
 
 
 def update_mu_x_tau_x(state: ChainState, data: _Data):
@@ -421,7 +409,7 @@ def update_mu_x_tau_x(state: ChainState, data: _Data):
         state.mu_x = post_mean + state.rng.standard_normal() / math.sqrt(post_prec)
     else:
         a_cur = _mu_axis_value(state.mu_x, priors.mu_x)
-        sc = state.scales["mu_x"].scale
+        sc = state.proposals["mu_x"].scale
         a_prop = a_cur + sc * state.rng.standard_normal()
 
         def log_target(a):
@@ -433,7 +421,7 @@ def update_mu_x_tau_x(state: ChainState, data: _Data):
         accepted = _mh_accept(state.rng, logr)
         if accepted:
             state.mu_x = _mu_from_axis(a_prop, priors.mu_x)
-        state._count("mu_x", int(accepted), 1)
+        state.proposals["mu_x"].record(accepted, 1)
 
     state.tau_x = _draw_precision(state, state.l - state.mu_x, priors.tau_x)
 
@@ -444,7 +432,7 @@ def _marginal_w_loglik(log_w, mu: float, var: float) -> float:
 
 
 def update_structural(state: ChainState, data: _Data):
-    """Joint move on (mu_x, tau_x[, tau_e]) with the latent exposures
+    """Joint move on (mu_x, tau_x, tau_e) with the latent exposures
     re-proposed from their exact no-outcome conditional.
 
     The observed-exposure and population terms then cancel against the
@@ -453,27 +441,18 @@ def update_structural(state: ChainState, data: _Data):
     the variance-allocation ridge between measurement error and exposure
     spread that single-site Gibbs explores only diffusively.
     """
-    spec = data.spec
-    if spec.fix_latent_at_log_w:
-        return
-    priors = spec.priors
-    move_tau_e = spec.fixed_tau_e is None
-    sc = state.scales["structural"].scale
+    priors = data.spec.priors
+    proposal = state.proposals["structural"]
 
     a_cur = _mu_axis_value(state.mu_x, priors.mu_x)
     b_cur = math.log(state.tau_x)
-    if state.struct_cov is None:
-        state.struct_cov = _structural_cov(spec)
-    step = state.struct_cov.propose_step(state.rng, sc)
+    c_cur = math.log(state.tau_e)
+    step = proposal.step(state.rng)
     a_prop = a_cur + step[0]
     b_prop = b_cur + step[1]
+    c_prop = c_cur + step[2]
     tau_x_prop = math.exp(min(b_prop, _EXP_CAP))
-    if move_tau_e:
-        c_cur = math.log(state.tau_e)
-        c_prop = c_cur + step[2]
-        tau_e_prop = math.exp(min(c_prop, _EXP_CAP))
-    else:
-        tau_e_prop = state.tau_e
+    tau_e_prop = math.exp(min(c_prop, _EXP_CAP))
 
     mu_prop = _mu_from_axis(a_prop, priors.mu_x)
 
@@ -482,8 +461,7 @@ def update_structural(state: ChainState, data: _Data):
         # the log-parameterized precisions
         lp = _mu_axis_logprior(a, priors.mu_x)
         lp += _gamma_logpdf(tau_x, priors.tau_x) + math.log(tau_x)
-        if move_tau_e:
-            lp += _gamma_logpdf(tau_e, priors.tau_e) + math.log(tau_e)
+        lp += _gamma_logpdf(tau_e, priors.tau_e) + math.log(tau_e)
         return lp
 
     var_cur = 1.0 / state.tau_x + 1.0 / state.tau_e
@@ -508,11 +486,9 @@ def update_structural(state: ChainState, data: _Data):
         state.tau_x = tau_x_prop
         state.tau_e = tau_e_prop
         state.l = l_prop
-    state._count("structural", int(accepted), 1)
-    theta_now = [_mu_axis_value(state.mu_x, priors.mu_x), math.log(state.tau_x)]
-    if move_tau_e:
-        theta_now.append(math.log(state.tau_e))
-    state.struct_cov.update(np.array(theta_now), state.iteration)
+    proposal.record(accepted, 1)
+    theta_now = [_mu_axis_value(state.mu_x, priors.mu_x), math.log(state.tau_x), math.log(state.tau_e)]
+    proposal.update_cov(np.array(theta_now), state.iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +498,7 @@ def update_structural(state: ChainState, data: _Data):
 _STRUCTURAL_REPEATS = 2
 
 
-def _scan(state: ChainState, data: _Data, adapt: bool):
+def _scan(state: ChainState, data: _Data):
     """One full sweep in fixed order; the order is part of the kernel."""
     spec = data.spec
     if spec.kind == "linear":
@@ -531,24 +507,14 @@ def _scan(state: ChainState, data: _Data, adapt: bool):
         state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
     else:
         update_logistic_coeffs(state, data)
-    if spec.fixed_tau_e is None:
-        state.tau_e = _draw_precision(state, data.log_w - state.l, spec.priors.tau_e)
+    state.tau_e = _draw_precision(state, data.log_w - state.l, spec.priors.tau_e)
     update_mu_x_tau_x(state, data)
-    if not spec.fix_latent_at_log_w:
-        update_latent_exposure(state, data)
+    update_latent_exposure(state, data)
     for _ in range(_STRUCTURAL_REPEATS):
         update_structural(state, data)
     state.iteration += 1
-    if adapt:
-        for s in state.scales.values():
-            s.end_scan(state.iteration)
-
-
-def _freeze_scales(state: ChainState):
-    for s in state.scales.values():
-        s.frozen = True
-    if state.struct_cov is not None:
-        state.struct_cov.frozen = True
+    for proposal in state.proposals.values():
+        proposal.end_scan(state.iteration)
 
 
 _COEFF_OFFSETS = (-0.5, 0.0, 0.5)
@@ -598,9 +564,6 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
     else:
         raise ParameterError(f"unknown init_strategy {strategy!r}")
 
-    if spec.fixed_tau_e is not None:
-        tau_e = spec.fixed_tau_e
-
     state = ChainState(
         kind=spec.kind,
         coeff0=float(coeff0),
@@ -611,8 +574,7 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
         tau_e=float(tau_e),
         l=l0,
         rng=rng,
-        scales=_default_scales(spec),
-        struct_cov=_structural_cov(spec),
+        proposals=_default_proposals(spec),
     )
     _check_finite_at_init(state, data)
     return state
@@ -627,9 +589,8 @@ def _check_finite_at_init(state: ChainState, data: _Data):
         ("coeff", _normal_logpdf(state.coeff, priors.coeff.mean, priors.coeff.variance)),
         ("mu_x", _mu_axis_logprior(_mu_axis_value(state.mu_x, priors.mu_x), priors.mu_x)),
         ("tau_x", _gamma_logpdf(state.tau_x, priors.tau_x)),
+        ("tau_e", _gamma_logpdf(state.tau_e, priors.tau_e)),
     ]
-    if data.spec.fixed_tau_e is None:
-        checks.append(("tau_e", _gamma_logpdf(state.tau_e, priors.tau_e)))
     if state.kind == "linear":
         checks.append(("tau_eps", _gamma_logpdf(state.tau_eps, priors.tau_eps)))
     dev_e = data.log_w - state.l
@@ -676,10 +637,7 @@ def _param_names(spec: ModelSpec) -> list[str]:
         names = ["beta0", "beta", "tau_eps"]
     else:
         names = ["alpha0", "alpha"]
-    if spec.fixed_tau_e is None:
-        names.append("tau_e")
-    names += ["mu_x", "tau_x"]
-    return names
+    return names + ["tau_e", "mu_x", "tau_x"]
 
 
 def _record(state: ChainState, spec: ModelSpec) -> dict[str, float]:
@@ -687,8 +645,7 @@ def _record(state: ChainState, spec: ModelSpec) -> dict[str, float]:
         row = {"beta0": state.coeff0, "beta": state.coeff, "tau_eps": state.tau_eps}
     else:
         row = {"alpha0": state.coeff0, "alpha": state.coeff}
-    if spec.fixed_tau_e is None:
-        row["tau_e"] = state.tau_e
+    row["tau_e"] = state.tau_e
     row["mu_x"] = state.mu_x
     row["tau_x"] = state.tau_x
     return row
@@ -717,8 +674,8 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
 
     Chains differ only in their coefficient starting values and RNG
     streams (derived from the master seed and the chain index, so results
-    are bit-reproducible however chains are scheduled). Proposal-scale
-    adaptation runs during burn-in only.
+    are bit-reproducible however chains are scheduled). Proposals adapt
+    during burn-in only.
     """
     names = _param_names(spec)
     data = _Data(spec)
@@ -728,20 +685,20 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
         rng = Rng(mcmc.seed, stream + (c,))
         state = initial_state(spec, mcmc.init_strategy, c, rng)
         for _ in range(mcmc.burn_in):
-            _scan(state, data, adapt=True)
-        _freeze_scales(state)
-        state.reset_acceptance()
+            _scan(state, data)
+        for proposal in state.proposals.values():
+            proposal.freeze()
         store = {name: np.empty(mcmc.n_retained) for name in names}
         k = 0
         for t in range(mcmc.keep):
-            _scan(state, data, adapt=False)
+            _scan(state, data)
             if (t + 1) % mcmc.thin == 0:
                 row = _record(state, spec)
                 for name in names:
                     store[name][k] = row[name]
                 k += 1
         chains.append(store)
-        rates.append({block: state.acceptance_rate(block) for block in state.accept_counts})
+        rates.append({block: proposal.rate for block, proposal in state.proposals.items()})
     return PosteriorSamples(
         kind=spec.kind,
         param_names=names,
@@ -767,7 +724,7 @@ def sample_prior_state(spec: ModelSpec, rng: Rng) -> ChainState:
     else:
         mu_x = priors.mu_x.mean + math.sqrt(priors.mu_x.variance) * rng.standard_normal()
     tau_x = sample_gamma(rng, priors.tau_x)
-    tau_e = spec.fixed_tau_e if spec.fixed_tau_e is not None else sample_gamma(rng, priors.tau_e)
+    tau_e = sample_gamma(rng, priors.tau_e)
     tau_eps = sample_gamma(rng, priors.tau_eps) if spec.kind == "linear" else None
     l = mu_x + rng.standard_normal(spec.n) / math.sqrt(tau_x)
     return ChainState(
@@ -780,8 +737,7 @@ def sample_prior_state(spec: ModelSpec, rng: Rng) -> ChainState:
         tau_e=float(tau_e),
         l=l,
         rng=rng,
-        scales=_default_scales(spec),
-        struct_cov=_structural_cov(spec),
+        proposals=_default_proposals(spec),
     )
 
 

@@ -76,11 +76,12 @@ def run_geweke(kind: str, transform: str, priors: PriorSet, seed: int, thin: int
     rng_sc = Rng(seed, (1,))
     state = mcmc.sample_prior_state(spec0, rng_sc)
     spec = mcmc.sample_data_given_state(state, spec0, rng_sc)
-    mcmc._freeze_scales(state)  # fixed kernel: the test needs a time-homogeneous chain
+    for proposal in state.proposals.values():  # fixed kernel: the test needs a time-homogeneous chain
+        proposal.freeze()
     sc = {k: np.empty(ROUNDS) for k in keys}
     for r in range(ROUNDS):
         for _ in range(thin):
-            mcmc._scan(state, mcmc._Data(spec), adapt=False)
+            mcmc._scan(state, mcmc._Data(spec))
             spec = mcmc.sample_data_given_state(state, spec0, rng_sc)
         for k, v in _monitors(state, lognormal_mu).items():
             sc[k][r] = v

@@ -177,7 +177,7 @@ def test_criterion_6_oracle_suites(geweke_results):
     spec = ModelSpec(kind="linear", w=np.array([1.0]), outcome=np.array([1.0]), priors=priors)
     state = mcmc.ChainState(
         kind="linear", coeff0=0.0, coeff=0.0, tau_eps=1.0, mu_x=0.0, tau_x=1.0,
-        tau_e=1.0, l=np.array([0.0]), rng=Rng(0), scales=mcmc._default_scales(spec),
+        tau_e=1.0, l=np.array([0.0]), rng=Rng(0), proposals=mcmc._default_proposals(spec),
     )
     mean, prec = full_conditional_coeffs_linear(state, mcmc._Data(spec))
     prec_exp = np.array([[1.01, 1.0], [1.0, 1.01]])

@@ -241,8 +241,17 @@ def test_naive_non_finite_cohort_exit_code(tmp_path, capsys):
 
 
 def test_evidence_empty_lists_exit_code(tmp_path, capsys):
-    for flag in ("--prefixes", "--p-null"):
-        assert main(["evidence", flag, "", "--out-dir", str(tmp_path)]) == 2
+    for flag, value in (
+        ("--prefixes", ""),
+        ("--p-null", ""),
+        ("--prefixes", "10,abc"),
+        ("--prefixes", "-5,10"),
+        ("--prefixes", "0"),
+        ("--p-null", "0.5,x"),
+        ("--noise-precision", "-1"),
+        ("--noise-precision", "0"),
+    ):
+        assert main(["evidence", f"{flag}={value}", "--out-dir", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
 
 

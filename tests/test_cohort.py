@@ -141,6 +141,9 @@ def test_cohort_invariants_enforced():
     for x, w, y in (([math.inf], [1.0], [0.0]), ([1.0], [math.inf], [0.0]), ([1.0], [1.0], [math.nan])):
         with pytest.raises(ParameterError, match="finite"):
             Cohort(x, w, y, [0])
+    for z in ([2], [0.5]):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            Cohort([1.0], [1.0], [0.0], z)
 
 
 def test_model_spec_rejects_non_finite():

@@ -41,7 +41,7 @@ def _state_for(x, y, priors, tau_eps=1.0):
             tau_e=1.0,
             l=np.log(np.asarray(x, float)),
             rng=Rng(0),
-            scales=mcmc._default_scales(spec),
+            proposals=mcmc._default_proposals(spec),
         )
     state.tau_eps = tau_eps
     state.l = np.log(np.asarray(x, float))

@@ -1,6 +1,7 @@
 """End-to-end chain-runner behavior: determinism, bookkeeping, degenerate
 reductions, and initialization failure reporting."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ def test_retained_count_and_param_names():
     assert all(len(ch["beta"]) == 100 for ch in lin.chains)
     logi = run_chains(ModelSpec.from_cohort(cohort, "logistic", logistic_priors()), cfg)
     assert logi.param_names == ["alpha0", "alpha", "tau_e", "mu_x", "tau_x"]
+    # the linear priors put a lognormal prior on the exposure location
+    for samples, blocks in ((lin, {"latent", "mu_x", "structural"}), (logi, {"latent", "coeffs", "structural"})):
+        assert len(samples.acceptance_rates) == cfg.n_chains
+        for rates in samples.acceptance_rates:
+            assert set(rates) == blocks
+            assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in rates.values())
 
 
 def test_chains_differ_only_in_coefficient_starts():
@@ -89,19 +96,17 @@ def test_chains_differ_only_in_coefficient_starts():
         assert np.array_equal(s.l, states[0].l)
 
 
+# A tau_e prior with mean 1e12 and sd 1e9 pins the latent exposures to log w.
+_NO_ERROR_TAU_E = GammaParams(1e6, 1e6)
+
+
 def test_no_measurement_error_reduction_linear():
-    """tau_e fixed huge with latents pinned to log w reduces the engine to
-    Bayesian linear regression; under flat priors the posterior mean matches
+    """A tau_e prior concentrated at 1e12 reduces the engine to Bayesian
+    linear regression on log w; under flat priors the posterior mean matches
     OLS within 3 Monte Carlo standard errors."""
     cohort = simulate_cohort(CohortConfig(n=2000, beta_true=0.3, seed=4))
-    spec = ModelSpec.from_cohort(
-        cohort,
-        "linear",
-        _flat_linear_priors(),
-        exposure_transform="log",
-        fixed_tau_e=1e12,
-        fix_latent_at_log_w=True,
-    )
+    priors = replace(_flat_linear_priors(), tau_e=_NO_ERROR_TAU_E)
+    spec = ModelSpec.from_cohort(cohort, "linear", priors, exposure_transform="log")
     cfg = McmcConfig(n_chains=2, burn_in=500, keep=4000, thin=2, seed=11, init_strategy="naive_start")
     samples = run_chains(spec, cfg)
     beta = samples.pooled("beta")
@@ -117,17 +122,10 @@ def test_no_measurement_error_reduction_logistic():
         coeff=NormalPrior(0.0, 1e6),
         mu_x=NormalPrior(0.0, 1e6),
         tau_x=GammaParams(0.01, 100.0),
-        tau_e=GammaParams(0.01, 100.0),
+        tau_e=_NO_ERROR_TAU_E,
         tau_eps=None,
     )
-    spec = ModelSpec.from_cohort(
-        cohort,
-        "logistic",
-        priors,
-        exposure_transform="log",
-        fixed_tau_e=1e12,
-        fix_latent_at_log_w=True,
-    )
+    spec = ModelSpec.from_cohort(cohort, "logistic", priors, exposure_transform="log")
     cfg = McmcConfig(n_chains=2, burn_in=2000, keep=20_000, thin=4, seed=12, init_strategy="naive_start")
     samples = run_chains(spec, cfg)
     alpha = samples.pooled("alpha")

@@ -91,14 +91,14 @@ def test_logistic_coeffs_prior_recovery():
         tau_e=1.0,
         l=np.zeros(0),
         rng=Rng(3),
-        scales=mcmc._default_scales(spec),
+        proposals=mcmc._default_proposals(spec),
     )
     data = mcmc._Data(spec)
     for i in range(20_000):  # adaptation phase
         update_logistic_coeffs(state, data)
         state.iteration += 1
-        state.scales["coeffs"].end_scan(state.iteration)
-    state.scales["coeffs"].frozen = True
+        state.proposals["coeffs"].end_scan(state.iteration)
+    state.proposals["coeffs"].freeze()
     draws = np.empty(100_000)
     for i in range(len(draws)):
         update_logistic_coeffs(state, data)
@@ -129,8 +129,8 @@ def test_logistic_coeffs_bvm_vs_mle():
     for _ in range(3000):
         update_logistic_coeffs(state, data)
         state.iteration += 1
-        state.scales["coeffs"].end_scan(state.iteration)
-    state.scales["coeffs"].frozen = True
+        state.proposals["coeffs"].end_scan(state.iteration)
+    state.proposals["coeffs"].freeze()
     draws = np.empty(20_000)
     for i in range(len(draws)):
         update_logistic_coeffs(state, data)
@@ -139,7 +139,7 @@ def test_logistic_coeffs_bvm_vs_mle():
     assert fit.converged
     post_sd = draws.std()
     assert abs(draws.mean() - fit.slope) < 3.0 * post_sd
-    rate = state.acceptance_rate("coeffs")
+    rate = state.proposals["coeffs"].rate
     assert 0.15 <= rate <= 0.45
 
 
@@ -155,7 +155,7 @@ def test_mu_tau_prior_recovery_no_data():
         tau_e=1.0,
         l=np.zeros(0),
         rng=Rng(6),
-        scales=mcmc._default_scales(spec),
+        proposals=mcmc._default_proposals(spec),
     )
     data = mcmc._Data(spec)
     mus = np.empty(30_000)
@@ -213,8 +213,8 @@ def test_mu_lognormal_prior_washout_matches_normal():
         for i in range(2500):
             update_mu_x_tau_x(state, data)
             state.iteration += 1
-            for s in state.scales.values():
-                s.end_scan(state.iteration)
+            for proposal in state.proposals.values():
+                proposal.end_scan(state.iteration)
             if i >= 500:
                 mus.append(state.mu_x)
         results[type(prior).__name__] = np.mean(mus)
