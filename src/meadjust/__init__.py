@@ -2,6 +2,8 @@
 measurement error: cohort generation, naive frequentist fits, an MCMC
 adjustment engine, convergence diagnostics and an evidence-ratio toy model.
 """
+__version__ = "0.1.0"  # before the imports: experiment reads it
+
 from .cohort import Cohort, CohortConfig, read_cohort, simulate_cohort, write_cohort
 from .diagnostics import PosteriorSummary, RhatReport, rhat, summarize, transform_summary
 from .errors import (
@@ -14,6 +16,7 @@ from .errors import (
     SingularDesignError,
 )
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
+from .experiment import write_traces
 from .mcmc import (
     ChainState,
     McmcConfig,
@@ -26,7 +29,6 @@ from .mcmc import (
     update_latent_exposure,
     update_logistic_coeffs,
     update_mu_x_tau_x,
-    write_traces,
 )
 from .naive import FitResult, correct_rr_reliability, correct_slope_reliability, fit_linear, fit_logistic
 from .priors import (
@@ -39,8 +41,6 @@ from .priors import (
     logistic_priors,
 )
 from .rng import GammaParams, Rng, sample_gamma
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Cohort",

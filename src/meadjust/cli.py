@@ -25,6 +25,8 @@ from .errors import (
 )
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
+    MODEL_KINDS,
+    REPORT_FORMATS,
     ExperimentConfig,
     adjust_cell,
     experiment_from_dict,
@@ -34,8 +36,9 @@ from .experiment import (
     run_replication_grid,
     summary_rows,
     write_table,
+    write_traces,
 )
-from .mcmc import McmcConfig, write_traces
+from .mcmc import McmcConfig
 from .naive import fit_linear, fit_logistic
 from .priors import PRIOR_VARIANT_ORDER
 from .rng import Rng
@@ -57,15 +60,31 @@ def _number_list(value: str, convert, flag: str) -> list:
         raise ParameterError(f"{flag} takes comma-separated numbers, got {value!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--config", default=None, help="JSON experiment config file")
-    parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument(
-        "--format",
-        default="csv,json,markdown",
-        help="comma-separated report formats (csv,json,markdown)",
-    )
+def _report_formats(value: str) -> list[str]:
+    formats = _comma_list(value)
+    if not formats:
+        raise argparse.ArgumentTypeError("needs at least one report format")
+    for f in formats:
+        if f not in REPORT_FORMATS:
+            raise argparse.ArgumentTypeError(f"unknown report format {f!r}")
+    return formats
+
+
+_COMMON_FLAGS = {
+    "--seed": dict(type=int, default=None, help="master seed (overrides config)"),
+    "--config": dict(default=None, help="JSON experiment config file"),
+    "--out-dir": dict(default="out", help="output directory"),
+    "--format": dict(
+        type=_report_formats,
+        default=",".join(REPORT_FORMATS),
+        help=f"comma-separated report formats ({','.join(REPORT_FORMATS)})",
+    ),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -79,7 +98,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg = experiment_from_dict(d)
     else:
         cfg = ExperimentConfig()
-    cfg = dataclasses.replace(cfg, out_dir=args.out_dir, formats=tuple(_comma_list(args.format)))
     if args.seed is not None:
         cfg = dataclasses.replace(
             cfg,
@@ -98,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a cohort CSV")
-    _add_common(p_sim)
+    _add_common(p_sim, "--seed", "--config", "--out-dir")
     p_sim.add_argument("--n", type=int, default=None)
     p_sim.add_argument("--mu-x", type=float, default=None)
     p_sim.add_argument("--tau-x", type=float, default=None)
@@ -111,17 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None, help="cohort file path (default OUT_DIR/cohort.csv)")
 
     p_naive = sub.add_parser("naive", help="naive frequentist fit on a cohort file")
-    _add_common(p_naive)
+    _add_common(p_naive, "--out-dir", "--format")
     p_naive.add_argument("cohort")
-    p_naive.add_argument("--kind", choices=["linear", "logistic"], required=True)
+    p_naive.add_argument("--kind", choices=MODEL_KINDS, required=True)
     p_naive.add_argument(
         "--log-exposure", action="store_true", help="regress on log W instead of W"
     )
 
     p_adj = sub.add_parser("adjust", help="Bayesian measurement-error adjustment")
-    _add_common(p_adj)
+    _add_common(p_adj, "--seed", "--config", "--out-dir", "--format")
     p_adj.add_argument("cohort")
-    p_adj.add_argument("--kind", choices=["linear", "logistic"], required=True)
+    p_adj.add_argument("--kind", choices=MODEL_KINDS, required=True)
     p_adj.add_argument("--prior", choices=list(PRIOR_VARIANT_ORDER), default="uninformative")
     p_adj.add_argument("--chains", type=int, default=None)
     p_adj.add_argument("--burn-in", type=int, default=None)
@@ -139,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adj.add_argument("--emit-traces", action="store_true")
 
     p_rep = sub.add_parser("replicate", help="run the prior-variant grid and emit tables")
-    _add_common(p_rep)
+    _add_common(p_rep, "--seed", "--config", "--out-dir", "--format")
     p_rep.add_argument("--n", type=int, default=None, help="cohort size override")
     p_rep.add_argument("--kinds", default=None, help="comma-separated subset of linear,logistic")
     p_rep.add_argument(
@@ -147,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ev = sub.add_parser("evidence", help="evidence-ratio table on the toy model")
-    _add_common(p_ev)
+    _add_common(p_ev, "--out-dir", "--format")
+    p_ev.add_argument("--seed", type=int, default=0, help="toy data seed")
     p_ev.add_argument("--n", type=int, default=1000, help="toy dataset size")
     p_ev.add_argument("--prefixes", default="10,100,1000", help="nested prefix sizes")
     p_ev.add_argument("--p-null", default="0.5,0.25,0.01", help="prior null masses")
@@ -162,11 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    cohort_cfg = cfg.cohort if args.config else CohortConfig()
-    if args.seed is not None:
-        cohort_cfg = dataclasses.replace(cohort_cfg, seed=args.seed)
+    cohort_cfg = _load_config(args).cohort if args.config else CohortConfig()
     overrides = {
+        "seed": args.seed,
         "n": args.n,
         "mu_x": args.mu_x,
         "tau_x": args.tau_x,
@@ -195,7 +212,6 @@ def _naive_fit(cohort, kind: str, log_exposure: bool):
 
 
 def _cmd_naive(args) -> int:
-    cfg = _load_config(args)
     cohort = read_cohort(args.cohort)
     fit = _naive_fit(cohort, args.kind, args.log_exposure)
     row = {
@@ -208,15 +224,12 @@ def _cmd_naive(args) -> int:
         "converged": fit.converged,
         "iterations": fit.iterations,
     }
-    fields = list(row)
     if args.kind == "logistic":
         row.update(
             odds_ratio=math.exp(fit.slope),
             or_ci95_lo=math.exp(fit.ci95_lo),
             or_ci95_hi=math.exp(fit.ci95_hi),
         )
-        fields += ["odds_ratio", "or_ci95_lo", "or_ci95_hi"]
-    os.makedirs(args.out_dir, exist_ok=True)
     prov = provenance_block(
         cohort_config=dataclasses.asdict(cohort.config) if cohort.config else None,
         command="naive",
@@ -224,7 +237,7 @@ def _cmd_naive(args) -> int:
         log_exposure=args.log_exposure,
     )
     base = os.path.join(args.out_dir, f"naive_{args.kind}")
-    written = write_table(base, [row], fields, cfg.formats, prov, title=f"Naive {args.kind} fit")
+    written = write_table(base, [row], args.format, prov, title=f"Naive {args.kind} fit")
     if args.kind == "logistic":
         print(
             f"naive {args.kind}: OR {math.exp(fit.slope):.4g} "
@@ -247,7 +260,6 @@ def _mcmc_from_args(args, base: McmcConfig) -> McmcConfig:
         "keep": args.keep,
         "thin": args.thin,
         "init_strategy": args.init_strategy,
-        "seed": args.seed,
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
     return dataclasses.replace(base, **overrides)
@@ -266,7 +278,6 @@ def _cmd_adjust(args) -> int:
         exposure_transform=transform,
         mu_x_normal=args.mu_x_normal,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     prov = provenance_block(
         cohort_config=dataclasses.asdict(cohort.config) if cohort.config else None,
         command="adjust",
@@ -277,14 +288,10 @@ def _cmd_adjust(args) -> int:
         mu_x_normal=args.mu_x_normal,
     )
     tag = f"{args.kind}_{args.prior}"
-    rhat_fields = ["parameter", "rhat", "converged"]
-    for i in range(mcmc.n_chains):
-        rhat_fields += [f"chain{i}_mean", f"chain{i}_var"]
     written = write_table(
         os.path.join(args.out_dir, f"rhat_{tag}"),
         rhat_rows(cell),
-        rhat_fields,
-        cfg.formats,
+        args.format,
         prov,
         title=f"Convergence, {args.kind} model, {args.prior} prior",
     )
@@ -302,8 +309,7 @@ def _cmd_adjust(args) -> int:
     written += write_table(
         os.path.join(args.out_dir, f"summary_{tag}"),
         summary_rows(cell),
-        ["parameter", "mean", "p2_5", "p97_5", "n_retained"],
-        cfg.formats,
+        args.format,
         prov,
         title=f"Posterior summaries, {args.kind} model, {args.prior} prior",
     )
@@ -325,32 +331,20 @@ def _cmd_replicate(args) -> int:
         cfg = dataclasses.replace(cfg, model_kinds=tuple(_comma_list(args.kinds)))
     if args.variants:
         cfg = dataclasses.replace(cfg, prior_variants=tuple(_comma_list(args.variants)))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     cohort = simulate_cohort(cfg.cohort)
-    write_cohort(cohort, os.path.join(cfg.out_dir, "cohort.csv"))
-    results = run_replication_grid(cfg, cohort=cohort)
+    write_cohort(cohort, os.path.join(args.out_dir, "cohort.csv"))
+    results = run_replication_grid(cfg, cohort)
 
     prov = provenance_block(cfg, command="replicate")
-    fields = [
-        "prior",
-        "parameter",
-        "mean",
-        "p2_5",
-        "p97_5",
-        "rhat",
-        "converged",
-        "cri_contains_null",
-        "n_retained",
-    ]
     any_unconverged = False
     for kind, cells in results.items():
         rows = replication_rows(cells)
         written = write_table(
-            os.path.join(cfg.out_dir, f"table_{kind}"),
+            os.path.join(args.out_dir, f"table_{kind}"),
             rows,
-            fields,
-            cfg.formats,
+            args.format,
             prov,
             title=f"Posterior of the {'odds ratio' if kind == 'logistic' else 'slope'} "
             f"under each measurement-error precision prior ({kind} model)",
@@ -369,8 +363,6 @@ def _cmd_replicate(args) -> int:
 
 
 def _cmd_evidence(args) -> int:
-    cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else 0
     prefixes = sorted(set(_number_list(args.prefixes, int, "--prefixes")))
     p_nulls = _number_list(args.p_null, float, "--p-null")
     if not prefixes or not p_nulls:
@@ -380,7 +372,7 @@ def _cmd_evidence(args) -> int:
     if not (args.noise_precision > 0):
         raise ParameterError(f"--noise-precision must be > 0, got {args.noise_precision}")
     n = max(args.n, max(prefixes))
-    rng = Rng(seed, (9,))
+    rng = Rng(args.seed, (9,))
     v = rng.standard_normal(n)
     u = rng.standard_normal(n) / math.sqrt(args.noise_precision)
 
@@ -401,10 +393,9 @@ def _cmd_evidence(args) -> int:
                     "log_marginal_positive": log_pos,
                 }
             )
-    os.makedirs(args.out_dir, exist_ok=True)
     prov = provenance_block(
         command="evidence",
-        seed=seed,
+        seed=args.seed,
         n=n,
         prefixes=prefixes,
         p_null=p_nulls,
@@ -414,8 +405,7 @@ def _cmd_evidence(args) -> int:
     written = write_table(
         os.path.join(args.out_dir, "evidence"),
         rows,
-        ["n", "p_null", "delta", "log_marginal_null", "log_marginal_positive"],
-        cfg.formats,
+        args.format,
         prov,
         title="Evidence ratio for the null vs a positive association",
     )

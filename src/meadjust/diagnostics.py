@@ -17,6 +17,9 @@ from .errors import DegenerateChainError, InsufficientSamplesError
 __all__ = ["PosteriorSummary", "RhatReport", "rhat", "summarize", "transform_summary", "RHAT_GATE"]
 
 RHAT_GATE = 1.1
+MIN_CHAINS = 2  # R-hat compares between- and within-chain variance
+MIN_CHAIN_LENGTH = 10  # draws per chain for R-hat
+MIN_DRAWS = 100  # pooled draws for a 95% interval
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,12 @@ def rhat(chains, parameter: str = "") -> RhatReport:
     chains."""
     arrays = [np.asarray(c, dtype=float) for c in chains]
     m = len(arrays)
-    if m < 2:
-        raise DegenerateChainError(f"need >= 2 chains, got {m}")
+    if m < MIN_CHAINS:
+        raise DegenerateChainError(f"need >= {MIN_CHAINS} chains, got {m}")
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise DegenerateChainError("chains must have equal length")
-    if n < 10:
+    if n < MIN_CHAIN_LENGTH:
         raise DegenerateChainError(f"chains too short for R-hat, length {n}")
     means = np.array([a.mean() for a in arrays])
     variances = np.array([a.var(ddof=1) for a in arrays])
@@ -70,8 +73,8 @@ def rhat(chains, parameter: str = "") -> RhatReport:
 def summarize(samples, parameter: str = "") -> PosteriorSummary:
     """Mean and equal-tailed 95% interval of pooled retained draws."""
     s = np.asarray(samples, dtype=float)
-    if len(s) < 100:
-        raise InsufficientSamplesError(f"need >= 100 draws to summarize, got {len(s)}")
+    if len(s) < MIN_DRAWS:
+        raise InsufficientSamplesError(f"need >= {MIN_DRAWS} draws to summarize, got {len(s)}")
     lo, hi = np.percentile(s, [2.5, 97.5], method="linear")
     return PosteriorSummary(
         parameter=parameter,
@@ -80,6 +83,17 @@ def summarize(samples, parameter: str = "") -> PosteriorSummary:
         p97_5=float(hi),
         n_retained=len(s),
     )
+
+
+def require_draws(n_chains: int, chain_length: int) -> None:
+    """Raise, before any sampling, the error that summarize or rhat would
+    raise on n_chains chains of chain_length retained draws each."""
+    if n_chains * chain_length < MIN_DRAWS:
+        raise InsufficientSamplesError(f"need >= {MIN_DRAWS} draws to summarize, got {n_chains * chain_length}")
+    if n_chains < MIN_CHAINS:
+        raise DegenerateChainError(f"need >= {MIN_CHAINS} chains, got {n_chains}")
+    if chain_length < MIN_CHAIN_LENGTH:
+        raise DegenerateChainError(f"chains too short for R-hat, length {chain_length}")
 
 
 def transform_summary(samples, parameter: str = "") -> PosteriorSummary:

@@ -1,10 +1,16 @@
 """End-to-end experiment orchestration: run adjustment cells, apply the
-convergence gate, and serialize report tables.
+convergence gate, and write report tables and chain traces.
 
-Every emitted file embeds a provenance block (the resolved semantic config
-and master seeds) sufficient to re-run it bit-identically; output paths and
-format choices are deliberately excluded so runs into different directories
-produce byte-identical tables.
+``ExperimentConfig`` holds only what changes results: the cohort, the
+sampler settings and the grid. Where tables go and in which formats are
+arguments of ``write_table``, never part of the config, so every table
+embeds a provenance block (the resolved config and master seeds) that
+re-runs it bit-identically, and runs into different directories produce
+byte-identical tables.
+
+Each grid cell draws from RNG streams keyed by its canonical position
+(kind in ``MODEL_KINDS``, variant in ``PRIOR_VARIANT_ORDER``), so a grid
+subset reproduces the full grid's rows.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cohort import Cohort, CohortConfig, simulate_cohort
-from .diagnostics import PosteriorSummary, RhatReport, rhat, summarize, transform_summary
+from .cohort import Cohort, CohortConfig
+from .diagnostics import PosteriorSummary, RhatReport, require_draws, rhat, summarize, transform_summary
 from .errors import ParameterError
 from .mcmc import McmcConfig, ModelSpec, PosteriorSamples, run_chains
 from .priors import PRIOR_VARIANT_ORDER, linear_priors, logistic_priors
@@ -29,11 +35,12 @@ __all__ = [
     "adjust_cell",
     "run_replication_grid",
     "write_table",
+    "write_traces",
     "experiment_from_dict",
-    "experiment_to_dict",
 ]
 
-_FORMATS = ("csv", "json", "markdown")
+MODEL_KINDS = ("linear", "logistic")
+REPORT_FORMATS = ("csv", "json", "markdown")
 
 # stream namespaces under the mcmc seed, so grid cells never share streams
 _STREAM_ADJUST = 1000
@@ -44,9 +51,7 @@ class ExperimentConfig:
     cohort: CohortConfig = field(default_factory=lambda: CohortConfig(n=2000))
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     prior_variants: tuple[str, ...] = PRIOR_VARIANT_ORDER
-    model_kinds: tuple[str, ...] = ("linear", "logistic")
-    out_dir: str = "out"
-    formats: tuple[str, ...] = _FORMATS
+    model_kinds: tuple[str, ...] = MODEL_KINDS
 
     def __post_init__(self):
         if not self.prior_variants:
@@ -57,21 +62,8 @@ class ExperimentConfig:
         if not self.model_kinds:
             raise ParameterError("model_kinds must be non-empty")
         for k in self.model_kinds:
-            if k not in ("linear", "logistic"):
+            if k not in MODEL_KINDS:
                 raise ParameterError(f"unknown model kind {k!r}")
-        for f in self.formats:
-            if f not in _FORMATS:
-                raise ParameterError(f"unknown report format {f!r}")
-
-
-def experiment_to_dict(cfg: ExperimentConfig) -> dict:
-    """The semantic config: output directory and formats are left out."""
-    return {
-        "cohort": dataclasses.asdict(cfg.cohort),
-        "mcmc": dataclasses.asdict(cfg.mcmc),
-        "prior_variants": list(cfg.prior_variants),
-        "model_kinds": list(cfg.model_kinds),
-    }
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
@@ -86,7 +78,7 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         for key, cls in (("cohort", CohortConfig), ("mcmc", McmcConfig)):
             if key in kwargs:
                 kwargs[key] = cls(**kwargs[key])
-        for key in ("prior_variants", "model_kinds", "formats"):
+        for key in ("prior_variants", "model_kinds"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
     except TypeError as exc:
@@ -157,8 +149,10 @@ def adjust_cell(
 
     The cell owns its RNG streams: they are derived from the mcmc seed plus
     the cell's stream prefix, so grid cells can run in any order or in
-    parallel without changing results.
+    parallel without changing results. Settings whose draws could not be
+    summarized or diagnosed are refused before any sampling.
     """
+    require_draws(mcmc.n_chains, mcmc.n_retained)
     priors = priors_for(kind, variant, mu_x_normal=mu_x_normal)
     spec = ModelSpec.from_cohort(cohort, kind, priors, exposure_transform=exposure_transform)
     samples = run_chains(spec, mcmc, stream=stream)
@@ -187,30 +181,23 @@ def adjust_cell(
 # Replication grid
 
 
-def run_replication_grid(cfg: ExperimentConfig, cohort: Cohort | None = None) -> dict[str, list[CellResult]]:
+def run_replication_grid(cfg: ExperimentConfig, cohort: Cohort) -> dict[str, list[CellResult]]:
     """Run the prior-variant grid for each requested model kind.
 
-    Rows keep table order (uninformative, A, B, C). A cell that fails the
+    Kinds and rows keep canonical order (rows: uninformative, A, B, C), and
+    each cell's stream is keyed by that canonical position, so a subset of
+    the grid gives the same rows as the full grid. A cell that fails the
     convergence gate still yields its row, flagged unconverged, so one bad
     cell cannot abort the grid.
     """
-    if cohort is None:
-        cohort = simulate_cohort(cfg.cohort)
     results: dict[str, list[CellResult]] = {}
-    ordered = [v for v in PRIOR_VARIANT_ORDER if v in cfg.prior_variants]
-    for k_idx, kind in enumerate(cfg.model_kinds):
-        rows = []
-        for v_idx, variant in enumerate(ordered):
-            rows.append(
-                adjust_cell(
-                    cohort,
-                    kind,
-                    variant,
-                    cfg.mcmc,
-                    stream=(_STREAM_ADJUST, k_idx, v_idx),
-                )
-            )
-        results[kind] = rows
+    for k_idx, kind in enumerate(MODEL_KINDS):
+        if kind in cfg.model_kinds:
+            results[kind] = [
+                adjust_cell(cohort, kind, variant, cfg.mcmc, stream=(_STREAM_ADJUST, k_idx, v_idx))
+                for v_idx, variant in enumerate(PRIOR_VARIANT_ORDER)
+                if variant in cfg.prior_variants
+            ]
     return results
 
 
@@ -240,7 +227,7 @@ def replication_rows(cells: list[CellResult]) -> list[dict]:
 def provenance_block(cfg: ExperimentConfig | None = None, **extra) -> dict:
     block = {"tool": "meadjust", "version": __version__}
     if cfg is not None:
-        block["config"] = experiment_to_dict(cfg)
+        block["config"] = dataclasses.asdict(cfg)
     block.update(extra)
     return block
 
@@ -265,24 +252,20 @@ def _fmt_human(value) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with open(tmp, "w", encoding="utf-8", newline="") as f:
         f.write(text)
     os.replace(tmp, path)
 
 
-def write_table(
-    base_path: str,
-    rows: list[dict],
-    fieldnames: list[str],
-    formats,
-    provenance: dict,
-    title: str = "",
-) -> list[str]:
-    """Write one logical table as CSV/JSON/markdown siblings of base_path.
+def write_table(base_path: str, rows: list[dict], formats, provenance: dict, title: str) -> list[str]:
+    """Write one logical table as CSV/JSON/markdown siblings of base_path,
+    creating its directory. The columns are the keys of the first row.
 
     CSV and JSON carry full float precision; markdown renders 4 significant
     digits. All three embed the provenance block.
     """
+    os.makedirs(os.path.dirname(base_path) or ".", exist_ok=True)
+    fieldnames = list(rows[0])
     written = []
     prov_json = json.dumps(provenance, sort_keys=True)
     if "csv" in formats:
@@ -299,11 +282,7 @@ def write_table(
         written.append(path)
     if "markdown" in formats:
         path = base_path + ".md"
-        lines = []
-        if title:
-            lines.append(f"# {title}")
-            lines.append("")
-        lines.append("| " + " | ".join(fieldnames) + " |")
+        lines = [f"# {title}", "", "| " + " | ".join(fieldnames) + " |"]
         lines.append("|" + "|".join(" --- " for _ in fieldnames) + "|")
         for row in rows:
             lines.append("| " + " | ".join(_fmt_human(row[f]) for f in fieldnames) + " |")
@@ -312,6 +291,20 @@ def write_table(
         _write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
     return written
+
+
+def write_traces(samples: PosteriorSamples, out_dir, prefix: str = "trace") -> list[str]:
+    """One CSV per chain, one row per retained draw, parameter-named columns
+    (CRLF line ends, as the csv module writes them)."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for c, chain in enumerate(samples.chains):
+        path = os.path.join(os.fspath(out_dir), f"{prefix}_chain{c}.csv")
+        draws = zip(*(chain[name].tolist() for name in samples.param_names))
+        lines = [",".join(samples.param_names)] + [",".join(map(repr, row)) for row in draws]
+        _write_atomic(path, "\r\n".join(lines) + "\r\n")
+        paths.append(path)
+    return paths
 
 
 def summary_rows(cell: CellResult) -> list[dict]:

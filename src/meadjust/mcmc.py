@@ -19,12 +19,11 @@ to linear scale, so cohorts of 10^5 subjects cannot overflow.
 """
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit
 
 from .cohort import Cohort
 from .errors import InitializationError, ParameterError
@@ -46,7 +45,6 @@ __all__ = [
     "initial_state",
     "sample_prior_state",
     "sample_data_given_state",
-    "write_traces",
 ]
 
 _EXP_CAP = 700.0  # exp argument cap; overflowing proposals reject cleanly
@@ -745,32 +743,9 @@ def sample_data_given_state(state: ChainState, spec: ModelSpec, rng: Rng) -> Mod
     """Redraw (w, outcome) from the model at the current state."""
     log_w = state.l + rng.standard_normal(len(state.l)) / math.sqrt(state.tau_e)
     w = np.exp(log_w)
-    t = _safe_exp(state.l) if spec.exposure_transform == "identity" else state.l
-    eta = state.coeff0 + state.coeff * t
+    eta = state.coeff0 + state.coeff * _Data(spec).covariate(state.l)
     if spec.kind == "linear":
-        outcome = eta + rng.standard_normal(len(t)) / math.sqrt(state.tau_eps)
+        outcome = eta + rng.standard_normal(len(eta)) / math.sqrt(state.tau_eps)
     else:
-        p = 1.0 / (1.0 + np.exp(-np.clip(eta, -_EXP_CAP, _EXP_CAP)))
-        outcome = (rng.uniform(size=len(t)) < p).astype(float)
+        outcome = (rng.uniform(size=len(eta)) < expit(eta)).astype(float)
     return replace(spec, w=w, outcome=outcome)
-
-
-# ---------------------------------------------------------------------------
-# Trace export
-
-
-def write_traces(samples: PosteriorSamples, out_dir, prefix: str = "trace") -> list[str]:
-    """One CSV per chain, one row per retained draw, parameter-named columns."""
-    paths = []
-    os.makedirs(out_dir, exist_ok=True)
-    for c, chain in enumerate(samples.chains):
-        path = os.path.join(os.fspath(out_dir), f"{prefix}_chain{c}.csv")
-        tmp = path + ".tmp"
-        with open(tmp, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(samples.param_names)
-            for i in range(samples.n_retained):
-                writer.writerow([repr(float(chain[name][i])) for name in samples.param_names])
-        os.replace(tmp, path)
-        paths.append(path)
-    return paths

@@ -8,6 +8,7 @@ import re
 import pytest
 
 import meadjust.cli as cli
+import meadjust.experiment as experiment
 from meadjust import CohortConfig, read_cohort, simulate_cohort, write_cohort
 from meadjust.cli import main
 
@@ -17,6 +18,18 @@ def _read_table_csv(path):
         lines = [ln for ln in f.read().strip().split("\n") if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     return list(reader)
+
+
+def _exit_code(argv):
+    """The process exit code of `meadjust ARGV`, argparse errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("run_chains was called")
 
 
 def _write_cohort_file(tmp_path, n=400, seed=1, **kwargs):
@@ -218,12 +231,62 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"cohort": {"nn": 5}}, "cohort"),
         ({"cohort": 5}, "cohort"),
         ({"mcmc": {"n_chains": "3"}}, "mcmc"),
+        ({"out_dir": "x"}, "out_dir"),
+        ({"formats": ["csv"]}, "formats"),
     ]
     for config, key in cases:
         path.write_text(json.dumps(config))
         rc = main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2, config
         assert key in capsys.readouterr().err, config
+
+
+def test_replicate_variant_subset_reproduces_full_grid_rows(tmp_path):
+    """A cell's streams are keyed by its canonical grid position, so its row
+    does not depend on which other cells run."""
+    cfg = _tiny_replicate_config(tmp_path, None)
+    typeA_rows = []
+    for variants in ("uninformative,typeA", "typeA"):
+        out_dir = tmp_path / variants
+        rc = main(["replicate", "--config", str(cfg), "--out-dir", str(out_dir), "--variants", variants])
+        assert rc in (0, 3)
+        lines = (out_dir / "table_linear.csv").read_bytes().splitlines()
+        typeA_rows.append([ln for ln in lines if ln.startswith(b"typeA,")])
+    assert len(typeA_rows[0]) == 1
+    assert typeA_rows[0] == typeA_rows[1]
+
+
+def test_unknown_format_exits_before_sampling(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "run_chains", _no_sampling)
+    for formats in ("xml", "csv,xml", "", ","):
+        assert _exit_code(["replicate", f"--format={formats}", "--out-dir", str(tmp_path)]) == 2, formats
+    assert not list(tmp_path.iterdir())
+
+
+def test_adjust_unsummarisable_draws_exit_before_sampling(tmp_path, monkeypatch, capsys):
+    cohort_file = _write_cohort_file(tmp_path, n=100, seed=6)
+    monkeypatch.setattr(experiment, "run_chains", _no_sampling)
+    for flags, message in (
+        (["--chains", "1"], "chains"),
+        (["--chains", "2", "--keep", "40", "--thin", "4"], "draws"),
+    ):
+        rc = main(["adjust", str(cohort_file), "--kind", "linear", "--out-dir", str(tmp_path / "o"), *flags])
+        assert rc == 2, flags
+        assert message in capsys.readouterr().err, flags
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+    cohort_file = _write_cohort_file(tmp_path, n=100, seed=6)
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    for argv in (
+        ["naive", str(cohort_file), "--kind", "linear", "--seed", "1"],
+        ["naive", str(cohort_file), "--kind", "linear", "--config", str(config)],
+        ["evidence", "--config", str(config)],
+        ["simulate", "--n", "10", "--format", "csv"],
+    ):
+        assert _exit_code(argv + ["--out-dir", str(tmp_path / "o")]) == 2, argv
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_json_exit_code(tmp_path, capsys):

@@ -177,7 +177,9 @@ def test_write_traces(tmp_path):
     paths = write_traces(samples, tmp_path, prefix="trace_test")
     assert len(paths) == 2
     for c, path in enumerate(paths):
-        rows = open(path).read().strip().split("\n")
+        data = open(path, "rb").read()
+        assert data.startswith(b"alpha0,alpha,tau_e,mu_x,tau_x\r\n")
+        rows = data.decode("utf-8").strip().split("\r\n")
         assert rows[0].split(",") == samples.param_names
         assert len(rows) - 1 == samples.n_retained
         first = [float(v) for v in rows[1].split(",")]
