@@ -369,8 +369,9 @@ def _cmd_evidence(args) -> int:
         raise ParameterError("--prefixes and --p-null each need at least one value")
     if prefixes[0] < 1:
         raise ParameterError(f"--prefixes must be positive, got {prefixes[0]}")
-    if not (args.noise_precision > 0):
-        raise ParameterError(f"--noise-precision must be > 0, got {args.noise_precision}")
+    for flag, value in (("--sigma-b", args.sigma_b), ("--noise-precision", args.noise_precision)):
+        if not (0 < value < math.inf):
+            raise ParameterError(f"{flag} must be finite and > 0, got {value}")
     n = max(args.n, max(prefixes))
     rng = Rng(args.seed, (9,))
     v = rng.standard_normal(n)

@@ -26,6 +26,15 @@ __all__ = ["CohortConfig", "Cohort", "simulate_cohort", "write_cohort", "read_co
 _STREAM_X, _STREAM_E, _STREAM_Y, _STREAM_Z = 0, 1, 2, 3
 
 
+def require_integers(config, names) -> None:
+    """Raise ParameterError unless each named field of config holds an
+    integer; numpy integers count, bools and integral floats do not."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CohortConfig:
     n: int = 100_000
@@ -40,6 +49,7 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("n", "seed"))
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         for name in ("tau_x", "tau_e", "tau_y"):
@@ -53,8 +63,8 @@ class CohortConfig:
 
 
 class Cohort:
-    """Column-oriented cohort: finite values, strictly positive exposures,
-    binary outcomes in {0, 1}."""
+    """Column-oriented cohort of at least one record: finite values,
+    strictly positive exposures, binary outcomes in {0, 1}."""
 
     def __init__(self, x_true, w_obs, y, z, config: CohortConfig | None = None):
         self.x_true = np.asarray(x_true, dtype=float)
@@ -66,6 +76,8 @@ class Cohort:
         n = len(self.x_true)
         if not (len(self.w_obs) == len(self.y) == len(self.z) == n):
             raise ParameterError("cohort columns must have equal length")
+        if n < 1:
+            raise ParameterError("cohort has no records")
         if not all(np.isfinite(c).all() for c in (self.x_true, self.w_obs, self.y)):
             raise ParameterError("cohort values must be finite")
         if np.any(self.x_true <= 0) or np.any(self.w_obs <= 0):

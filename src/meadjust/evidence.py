@@ -42,8 +42,8 @@ class ToyData:
             raise ParameterError("v and u must have equal length")
         if len(v) < 1:
             raise ParameterError("need at least one observation")
-        if not (self.noise_precision > 0):
-            raise ParameterError(f"noise precision must be > 0, got {self.noise_precision}")
+        if not (0 < self.noise_precision < math.inf):
+            raise ParameterError(f"noise precision must be finite and > 0, got {self.noise_precision}")
 
     @property
     def n(self) -> int:
@@ -58,8 +58,8 @@ class HypothesisPriors:
     def __post_init__(self):
         if not (0.0 < self.p_null < 1.0):
             raise ParameterError(f"p_null must lie in (0, 1), got {self.p_null}")
-        if not (self.sigma_b > 0):
-            raise ParameterError(f"sigma_b must be > 0, got {self.sigma_b}")
+        if not (0 < self.sigma_b < math.inf):
+            raise ParameterError(f"sigma_b must be finite and > 0, got {self.sigma_b}")
 
     @property
     def p_pos(self) -> float:
@@ -104,7 +104,12 @@ def marginal_likelihood_positive(data: ToyData, prior: HypothesisPriors) -> floa
     # Locate the mass on a scan grid so the adaptive pass cannot step over
     # a likelihood spike (at large n the posterior peak is very narrow in t).
     grid = np.linspace(1e-9, 1.0 - 1e-9, 2001)
-    values = np.array([log_integrand(t) for t in grid])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([log_integrand(t) for t in grid])
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise NumericalError("marginal-likelihood integrand is not finite at any grid point")
+    values = np.where(finite, values, -math.inf)
     shift = float(values.max())
     live = grid[values > shift - 40.0]
     breakpoints = sorted({float(live.min()), float(grid[int(values.argmax())]), float(live.max())})

@@ -81,7 +81,7 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
         for key in ("prior_variants", "model_kinds"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
-    except TypeError as exc:
+    except (TypeError, ParameterError) as exc:
         raise ParameterError(f"bad config value for {key!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 

@@ -4,15 +4,20 @@ The model has three pieces: an outcome model (normal or Bernoulli) on the
 latent true exposure, a lognormal measurement model linking observed to
 true exposure, and a lognormal population model for true exposure. The
 latent log exposures l_i = log X_i are sampled per subject; conjugate
-blocks use Gibbs draws and the rest use random-walk Metropolis.
+blocks use Gibbs draws and the rest use Metropolis.
 
-Each Metropolis block (latent exposures, logistic coefficients, the
-lognormal-prior exposure location, the structural move) owns one
-``Proposal``: its step size, tuned towards a target acceptance rate, and
-for the 3-D structural move a running proposal covariance (Haario,
-Saksman & Tamminen 2001). Proposals adapt during burn-in only and are then
-frozen, so retained draws come from a fixed kernel; from then on they
-count the acceptances that ``PosteriorSamples.acceptance_rates`` reports.
+The data identify mu_x and V = 1/tau_x + 1/tau_e, but not the error share
+r = (1/tau_e)/V (Gustafson 2005). The latent block proposes each l_i from
+its exact no-outcome conditional and accepts on the outcome ratio alone;
+the ridge move (``update_structural``) steps in logit(r) with mu_x, V and
+the non-centred latents held fixed (Papaspiliopoulos, Roberts & Sköld 2007).
+
+Each random-walk block owns one ``Proposal``: its step size, tuned towards
+a target acceptance rate, and for the 2-D logistic coefficients a running
+proposal covariance (Haario, Saksman & Tamminen 2001). Proposals adapt
+during burn-in only and are then frozen, so retained draws come from a
+fixed kernel; from then on they count the acceptances that
+``PosteriorSamples.acceptance_rates`` reports.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .cohort import Cohort
+from .cohort import Cohort, require_integers
 from .errors import InitializationError, ParameterError
 from .naive import fit_linear, fit_logistic
 from .priors import LogNormalPrior, NormalPrior, PriorSet
@@ -163,15 +168,17 @@ _COV_INIT_SD = 0.3  # proposal sd per axis until a covariance is learnt
 
 
 class Proposal:
-    """Random-walk proposal of one Metropolis block and its adaptation.
+    """Proposal of one Metropolis block and its adaptation.
 
     The step size follows a windowed Robbins-Monro rule towards ``target``.
     With ``dim`` set, the block also learns a running proposal covariance
-    (Haario-style adaptive Metropolis). ``freeze`` ends both and restarts
-    the acceptance counts, which from then on cover the retained scans.
+    (Haario-style adaptive Metropolis). Without a target there is nothing
+    to adapt and the proposal only counts acceptances. ``freeze`` ends the
+    adaptation and restarts the acceptance counts, which from then on
+    cover the retained scans.
     """
 
-    def __init__(self, scale: float, target: float, dim: int | None = None):
+    def __init__(self, scale: float | None = None, target: float | None = None, dim: int | None = None):
         self.scale = scale
         self.target = target
         self.accepted = 0.0
@@ -193,7 +200,7 @@ class Proposal:
         self.attempts += int(attempts)
 
     def end_scan(self, iteration: int):
-        if self.frozen or self.attempts == 0:
+        if self.frozen or self.attempts == 0 or self.target is None:
             return
         if (iteration + 1) % _ADAPT_WINDOW == 0:
             self.rounds += 1
@@ -246,35 +253,12 @@ def _default_proposals(spec: ModelSpec) -> dict[str, Proposal]:
     """One proposal per Metropolis block of the spec, in scan order."""
     proposals = {}
     if spec.kind == "logistic":
-        proposals["coeffs"] = Proposal(scale=0.5, target=0.234)
+        proposals["coeffs"] = Proposal(scale=1.0, target=0.234, dim=2)
     if isinstance(spec.priors.mu_x, LogNormalPrior):
         proposals["mu_x"] = Proposal(scale=0.5, target=0.44)
-    proposals["latent"] = Proposal(scale=1.0, target=0.44)
-    proposals["structural"] = Proposal(scale=1.0, target=0.234, dim=3)
+    proposals["latent"] = Proposal()
+    proposals["structural"] = Proposal(scale=1.0, target=0.44)
     return proposals
-
-
-# ---------------------------------------------------------------------------
-# mu_x axis helpers: the lognormal-prior variant is sampled on the log axis,
-# where its prior is normal and random-walk proposals are symmetric.
-
-
-def _mu_axis_value(state_mu: float, prior) -> float:
-    if isinstance(prior, LogNormalPrior):
-        return math.log(state_mu)
-    return state_mu
-
-
-def _mu_from_axis(a: float, prior) -> float:
-    if isinstance(prior, LogNormalPrior):
-        return math.exp(min(a, _EXP_CAP))
-    return a
-
-
-def _mu_axis_logprior(a: float, prior) -> float:
-    if isinstance(prior, LogNormalPrior):
-        return _normal_logpdf(a, prior.log_mean, prior.log_variance)
-    return _normal_logpdf(a, prior.mean, prior.variance)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +279,18 @@ def _outcome_loglik_terms(state: ChainState, data: _Data, l, coeff0: float, coef
         if state.kind == "linear":
             return -0.5 * state.tau_eps * (data.outcome - eta) ** 2
         return data.outcome * eta - np.logaddexp(0.0, eta)
+
+
+def _outcome_at(state: ChainState, data: _Data, l) -> np.ndarray:
+    """Per-subject outcome log likelihood at l and the current coefficients."""
+    return _outcome_loglik_terms(state, data, l, state.coeff0, state.coeff)
+
+
+def _latent_conditional(data: _Data, mu_x: float, tau_x: float, tau_e: float):
+    """Mean m_i and precision tau_e + tau_x of each latent log exposure
+    given the measurement and population models, without the outcome."""
+    prec = tau_e + tau_x
+    return (tau_e * data.log_w + tau_x * mu_x) / prec, prec
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +347,11 @@ def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
 
 
 def update_logistic_coeffs(state: ChainState, data: _Data):
-    """Joint random-walk Metropolis on the logistic (intercept, slope)."""
+    """Joint random-walk Metropolis on the logistic (intercept, slope), with
+    an adapted proposal covariance."""
     priors = data.spec.priors
-    sc = state.proposals["coeffs"].scale
-    prop0 = state.coeff0 + sc * state.rng.standard_normal()
-    prop1 = state.coeff + sc * state.rng.standard_normal()
+    proposal = state.proposals["coeffs"]
+    prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
 
     def log_target(c0, c1):
         lp = _normal_logpdf(c0, priors.coeff0.mean, priors.coeff0.variance)
@@ -366,26 +362,23 @@ def update_logistic_coeffs(state: ChainState, data: _Data):
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.coeff0, state.coeff = float(prop0), float(prop1)
-    state.proposals["coeffs"].record(accepted, 1)
+    proposal.record(accepted, 1)
+    proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
 
 
 def update_latent_exposure(state: ChainState, data: _Data):
-    """Random-walk Metropolis on the latent log exposures.
+    """Independence sampler on the latent log exposures.
 
-    All subjects update in one vectorized pass (their conditionals are
-    independent given the parameters). Rejections leave entries unchanged.
+    Each subject proposes from its exact no-outcome conditional
+    N(m_i, 1/(tau_e + tau_x)); the measurement and population terms cancel
+    against the proposal, so acceptance needs only the per-subject outcome
+    ratio. All subjects update in one vectorized pass (their conditionals
+    are independent given the parameters). Rejections leave entries
+    unchanged.
     """
-    sc = state.proposals["latent"].scale
-    prop = state.l + sc * state.rng.standard_normal(data.n)
-
-    def per_subject_target(l):
-        return (
-            _outcome_loglik_terms(state, data, l, state.coeff0, state.coeff)
-            - 0.5 * state.tau_e * (data.log_w - l) ** 2
-            - 0.5 * state.tau_x * (l - state.mu_x) ** 2
-        )
-
-    logr = per_subject_target(prop) - per_subject_target(state.l)
+    m, prec = _latent_conditional(data, state.mu_x, state.tau_x, state.tau_e)
+    prop = m + state.rng.standard_normal(data.n) / math.sqrt(prec)
+    logr = _outcome_at(state, data, prop) - _outcome_at(state, data, state.l)
     accept = np.log(1.0 - state.rng.uniform(size=data.n)) < logr
     state.l[:] = np.where(accept, prop, state.l)
     state.proposals["latent"].record(accept.sum(), data.n)
@@ -405,95 +398,74 @@ def update_mu_x_tau_x(state: ChainState, data: _Data):
         post_prec = 1.0 / priors.mu_x.variance + n * state.tau_x
         post_mean = (priors.mu_x.mean / priors.mu_x.variance + state.tau_x * l_sum) / post_prec
         state.mu_x = post_mean + state.rng.standard_normal() / math.sqrt(post_prec)
-    else:
-        a_cur = _mu_axis_value(state.mu_x, priors.mu_x)
-        sc = state.proposals["mu_x"].scale
-        a_prop = a_cur + sc * state.rng.standard_normal()
+    else:  # lognormal prior: a random walk in a = log mu_x, where the prior is normal
+        a_cur = math.log(state.mu_x)
+        a_prop = a_cur + state.proposals["mu_x"].scale * state.rng.standard_normal()
 
         def log_target(a):
-            mu = _mu_from_axis(a, priors.mu_x)
-            dev = state.l - mu
-            return _mu_axis_logprior(a, priors.mu_x) - 0.5 * state.tau_x * float(dev @ dev)
+            dev = state.l - math.exp(min(a, _EXP_CAP))
+            log_prior = _normal_logpdf(a, priors.mu_x.log_mean, priors.mu_x.log_variance)
+            return log_prior - 0.5 * state.tau_x * float(dev @ dev)
 
         logr = log_target(a_prop) - log_target(a_cur)
         accepted = _mh_accept(state.rng, logr)
         if accepted:
-            state.mu_x = _mu_from_axis(a_prop, priors.mu_x)
+            state.mu_x = math.exp(min(a_prop, _EXP_CAP))
         state.proposals["mu_x"].record(accepted, 1)
 
     state.tau_x = _draw_precision(state, state.l - state.mu_x, priors.tau_x)
 
 
-def _marginal_w_loglik(log_w, mu: float, var: float) -> float:
-    dev = log_w - mu
-    return float(-0.5 * len(log_w) * math.log(2.0 * math.pi * var) - 0.5 * (dev @ dev) / var)
+def _softplus(x: float) -> float:
+    """log(1 + e^x), without overflow."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
 def update_structural(state: ChainState, data: _Data):
-    """Joint move on (mu_x, tau_x, tau_e) with the latent exposures
-    re-proposed from their exact no-outcome conditional.
+    """Ridge move: a random-walk step in u = logit(r), r = (1/tau_e)/V.
 
-    The observed-exposure and population terms then cancel against the
-    proposal up to the closed-form marginal of log W, so acceptance reduces
-    to the marginal-likelihood, prior and outcome ratios. This traverses
-    the variance-allocation ridge between measurement error and exposure
-    spread that single-site Gibbs explores only diffusively.
+    It holds mu_x, V = 1/tau_x + 1/tau_e and the standardised latents
+    eps_i = (l_i - m_i) sqrt(tau_e + tau_x) fixed. The density of log W
+    given (mu_x, V) and that of eps then cancel, and the log ratio is the
+    gamma log priors of (tau_x, tau_e), the log-Jacobian -log r - log(1 - r)
+    and the outcome log ratio at l'_i = m'_i + eps_i / sqrt(tau_e' + tau_x').
     """
     priors = data.spec.priors
     proposal = state.proposals["structural"]
+    log_tau_x, log_tau_e = math.log(state.tau_x), math.log(state.tau_e)
+    log_v = float(np.logaddexp(-log_tau_x, -log_tau_e))
+    u = log_tau_x - log_tau_e
+    u_prop = u + proposal.scale * state.rng.standard_normal()
+    # log tau_x = -log V - log(1 - r) and log tau_e = -log V - log r, with
+    # -log(1 - r) = softplus(u) and -log r = softplus(-u): no precision is
+    # lost when tau_e is near 1e12
+    tau_x_prop = math.exp(min(_softplus(u_prop) - log_v, _EXP_CAP))
+    tau_e_prop = math.exp(min(_softplus(-u_prop) - log_v, _EXP_CAP))
 
-    a_cur = _mu_axis_value(state.mu_x, priors.mu_x)
-    b_cur = math.log(state.tau_x)
-    c_cur = math.log(state.tau_e)
-    step = proposal.step(state.rng)
-    a_prop = a_cur + step[0]
-    b_prop = b_cur + step[1]
-    c_prop = c_cur + step[2]
-    tau_x_prop = math.exp(min(b_prop, _EXP_CAP))
-    tau_e_prop = math.exp(min(c_prop, _EXP_CAP))
+    m, prec = _latent_conditional(data, state.mu_x, state.tau_x, state.tau_e)
+    m_prop, prec_prop = _latent_conditional(data, state.mu_x, tau_x_prop, tau_e_prop)
+    l_prop = m_prop + (state.l - m) * math.sqrt(prec / prec_prop)
 
-    mu_prop = _mu_from_axis(a_prop, priors.mu_x)
-
-    def theta_logprior(a, tau_x, tau_e):
-        # priors on the sampled axes: gamma density plus log-Jacobian for
-        # the log-parameterized precisions
-        lp = _mu_axis_logprior(a, priors.mu_x)
-        lp += _gamma_logpdf(tau_x, priors.tau_x) + math.log(tau_x)
-        lp += _gamma_logpdf(tau_e, priors.tau_e) + math.log(tau_e)
-        return lp
-
-    var_cur = 1.0 / state.tau_x + 1.0 / state.tau_e
-    var_prop = 1.0 / tau_x_prop + 1.0 / tau_e_prop
-
-    # exact no-outcome conditional of l under the proposed parameters
-    cond_prec = tau_e_prop + tau_x_prop
-    cond_mean = (tau_e_prop * data.log_w + tau_x_prop * mu_prop) / cond_prec
-    l_prop = cond_mean + state.rng.standard_normal(data.n) / math.sqrt(cond_prec)
+    def log_prior_jacobian(u, tau_x, tau_e):
+        log_jacobian = _softplus(u) + _softplus(-u)
+        return _gamma_logpdf(tau_x, priors.tau_x) + _gamma_logpdf(tau_e, priors.tau_e) + log_jacobian
 
     logr = (
-        float(_outcome_loglik_terms(state, data, l_prop, state.coeff0, state.coeff).sum())
-        - float(_outcome_loglik_terms(state, data, state.l, state.coeff0, state.coeff).sum())
-        + _marginal_w_loglik(data.log_w, mu_prop, var_prop)
-        - _marginal_w_loglik(data.log_w, state.mu_x, var_cur)
-        + theta_logprior(a_prop, tau_x_prop, tau_e_prop)
-        - theta_logprior(a_cur, state.tau_x, state.tau_e)
+        log_prior_jacobian(u_prop, tau_x_prop, tau_e_prop)
+        - log_prior_jacobian(u, state.tau_x, state.tau_e)
+        + float(_outcome_at(state, data, l_prop).sum())
+        - float(_outcome_at(state, data, state.l).sum())
     )
     accepted = _mh_accept(state.rng, logr)
     if accepted:
-        state.mu_x = mu_prop
         state.tau_x = tau_x_prop
         state.tau_e = tau_e_prop
         state.l = l_prop
     proposal.record(accepted, 1)
-    theta_now = [_mu_axis_value(state.mu_x, priors.mu_x), math.log(state.tau_x), math.log(state.tau_e)]
-    proposal.update_cov(np.array(theta_now), state.iteration)
 
 
 # ---------------------------------------------------------------------------
 # Scan, initialization, runner
-
-
-_STRUCTURAL_REPEATS = 2
 
 
 def _scan(state: ChainState, data: _Data):
@@ -508,8 +480,7 @@ def _scan(state: ChainState, data: _Data):
     state.tau_e = _draw_precision(state, data.log_w - state.l, spec.priors.tau_e)
     update_mu_x_tau_x(state, data)
     update_latent_exposure(state, data)
-    for _ in range(_STRUCTURAL_REPEATS):
-        update_structural(state, data)
+    update_structural(state, data)
     state.iteration += 1
     for proposal in state.proposals.values():
         proposal.end_scan(state.iteration)
@@ -578,6 +549,12 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
     return state
 
 
+def _mu_x_logprior(mu_x: float, prior) -> float:
+    if isinstance(prior, LogNormalPrior):
+        return _normal_logpdf(math.log(mu_x), prior.log_mean, prior.log_variance)
+    return _normal_logpdf(mu_x, prior.mean, prior.variance)
+
+
 def _check_finite_at_init(state: ChainState, data: _Data):
     """Raise InitializationError naming the first non-finite log-posterior
     term (the logistic model is the historically fragile one)."""
@@ -585,7 +562,7 @@ def _check_finite_at_init(state: ChainState, data: _Data):
     checks = [
         ("coeff0", _normal_logpdf(state.coeff0, priors.coeff0.mean, priors.coeff0.variance)),
         ("coeff", _normal_logpdf(state.coeff, priors.coeff.mean, priors.coeff.variance)),
-        ("mu_x", _mu_axis_logprior(_mu_axis_value(state.mu_x, priors.mu_x), priors.mu_x)),
+        ("mu_x", _mu_x_logprior(state.mu_x, priors.mu_x)),
         ("tau_x", _gamma_logpdf(state.tau_x, priors.tau_x)),
         ("tau_e", _gamma_logpdf(state.tau_e, priors.tau_e)),
     ]
@@ -595,7 +572,7 @@ def _check_finite_at_init(state: ChainState, data: _Data):
     checks.append(("latent_exposure", -0.5 * state.tau_e * float(dev_e @ dev_e)))
     dev_x = state.l - state.mu_x
     checks.append(("latent_exposure", -0.5 * state.tau_x * float(dev_x @ dev_x)))
-    outcome = _outcome_loglik_terms(state, data, state.l, state.coeff0, state.coeff)
+    outcome = _outcome_at(state, data, state.l)
     checks.append(("outcome", float(outcome.sum())))
     for name, value in checks:
         if not math.isfinite(value):
@@ -612,6 +589,7 @@ class McmcConfig:
     init_strategy: str = "paper_replication"
 
     def __post_init__(self):
+        require_integers(self, ("n_chains", "burn_in", "keep", "thin", "seed"))
         if self.n_chains < 1:
             raise ParameterError("n_chains must be >= 1")
         if self.burn_in < 0:

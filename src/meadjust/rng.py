@@ -17,6 +17,8 @@ from .errors import ParameterError
 
 __all__ = ["Rng", "GammaParams", "sample_gamma"]
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -94,9 +96,10 @@ def _gamma_shape_ge1(rng: Rng, shape: float, n: int) -> np.ndarray:
 def sample_gamma(rng: Rng, params: GammaParams, size=None):
     """Gamma draw(s) in shape-scale parameterization.
 
-    Shapes below 1 (the informative priors use shapes down to 0.05) are
-    handled by sampling at shape+1 and applying the U^(1/shape) correction;
-    the power is applied in log space so small shapes cannot produce zeros.
+    Shapes below 1 (the priors use shapes down to 0.01) are handled by
+    sampling at shape+1 and applying the U^(1/shape) correction in log
+    space. At small shapes that correction can still underflow, so draws
+    are clamped to the smallest normal float: a precision is never zero.
     """
     n = 1 if size is None else int(np.prod(size))
     k = params.shape
@@ -106,7 +109,7 @@ def sample_gamma(rng: Rng, params: GammaParams, size=None):
         g = _gamma_shape_ge1(rng, k + 1.0, n)
         u = 1.0 - rng.uniform(size=n)  # (0, 1]
         g = np.exp(np.log(g) + np.log(u) / k)
-    g = params.scale * g
+    g = np.maximum(params.scale * g, _TINY)
     if size is None:
         return float(g[0])
     return g.reshape(size)

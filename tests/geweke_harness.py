@@ -47,6 +47,8 @@ def _monitors(state, lognormal_mu: bool) -> dict[str, float]:
         "coeff_sq": state.coeff**2,
         "log_tau_e": math.log(state.tau_e),
         "log_tau_x": math.log(state.tau_x),
+        # error share r = (1/tau_e) / (1/tau_x + 1/tau_e), the ridge move's axis
+        "logit_r": math.log(state.tau_x) - math.log(state.tau_e),
         "mu_axis": math.log(state.mu_x) if lognormal_mu else state.mu_x,
         "l0": state.l[0],
     }

@@ -110,6 +110,7 @@ def test_criterion_3_table2_replication(desk_cohort):
                 t.p2_5 <= 0.0 <= t.p97_5,
             )
         )
+        checks.append((f"{variant}: convergence gate, failing {cell.gate_failures or 'none'}", cell.converged))
     ratio = widths["typeB"] / widths["typeA"]
     checks.append((f"width(typeB)/width(typeA) = {ratio:.2f} >= 2", ratio >= 2.0))
     elapsed = time.perf_counter() - t0
@@ -129,6 +130,7 @@ def test_criterion_4_table3_replication(desk_cohort):
                 t.p2_5 <= 1.0 <= t.p97_5,
             )
         )
+        checks.append((f"{variant}: convergence gate, failing {cell.gate_failures or 'none'}", cell.converged))
     elapsed = time.perf_counter() - t0
     checks.append((f"runtime {elapsed:.0f}s < 1200s", elapsed < 1200.0))
     _report("4 (odds-ratio table, desk scale)", checks)

@@ -233,6 +233,9 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"mcmc": {"n_chains": "3"}}, "mcmc"),
         ({"out_dir": "x"}, "out_dir"),
         ({"formats": ["csv"]}, "formats"),
+        ({"mcmc": {"n_chains": 2.0}}, "n_chains"),
+        ({"cohort": {"n": 50.0}}, "n must be an integer"),
+        ({"mcmc": {"seed": 1.7}}, "seed"),
     ]
     for config, key in cases:
         path.write_text(json.dumps(config))
@@ -303,6 +306,17 @@ def test_naive_non_finite_cohort_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_header_only_cohort_exit_code(tmp_path, capsys):
+    path = tmp_path / "cohort.csv"
+    path.write_text("x_true,w_obs,y,z\n")
+    for argv in (
+        ["naive", str(path), "--kind", "logistic"],
+        ["adjust", str(path), "--kind", "linear"],
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2, argv
+        assert "no records" in capsys.readouterr().err, argv
+
+
 def test_evidence_empty_lists_exit_code(tmp_path, capsys):
     for flag, value in (
         ("--prefixes", ""),
@@ -313,6 +327,8 @@ def test_evidence_empty_lists_exit_code(tmp_path, capsys):
         ("--p-null", "0.5,x"),
         ("--noise-precision", "-1"),
         ("--noise-precision", "0"),
+        ("--noise-precision", "inf"),
+        ("--sigma-b", "inf"),
     ):
         assert main(["evidence", f"{flag}={value}", "--out-dir", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err

@@ -26,6 +26,10 @@ def test_config_validation_names_parameter():
         CohortConfig(tau_e=0.0)
     with pytest.raises(ParameterError, match="outcome_kind"):
         CohortConfig(outcome_kind="weird")
+    for kwargs in ({"n": 50.0}, {"n": True}, {"seed": 1.7}):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            CohortConfig(**kwargs)
+    assert CohortConfig(n=np.int64(5)).n == 5
 
 
 def test_full_scale_cohort_shape():
@@ -144,6 +148,8 @@ def test_cohort_invariants_enforced():
     for z in ([2], [0.5]):
         with pytest.raises(ParameterError, match="0 or 1"):
             Cohort([1.0], [1.0], [0.0], z)
+    with pytest.raises(ParameterError, match="no records"):
+        Cohort([], [], [], [])
 
 
 def test_model_spec_rejects_non_finite():

@@ -111,6 +111,14 @@ def test_quadrature_failure_raises(monkeypatch):
         marginal_likelihood_positive(data, HypothesisPriors(0.5, 1.0))
 
 
+def test_integrand_without_finite_value_raises():
+    """At sigma_b = 1e308 every grid point maps to a b whose likelihood
+    overflows, so there is no mass to integrate."""
+    data = _null_data(10, seed=9)
+    with pytest.raises(NumericalError, match="grid"):
+        marginal_likelihood_positive(data, HypothesisPriors(0.5, 1e308))
+
+
 def test_delta_equal_masses_zero_predictor_is_one():
     data = ToyData(np.zeros(30), Rng(10, (9,)).standard_normal(30), 1.0)
     assert _delta(data, HypothesisPriors(0.5, 1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -162,3 +170,7 @@ def test_input_validation():
         HypothesisPriors(0.0, 1.0)
     with pytest.raises(ParameterError):
         HypothesisPriors(0.5, -1.0)
+    with pytest.raises(ParameterError, match="finite"):
+        ToyData([1.0], [1.0], math.inf)
+    with pytest.raises(ParameterError, match="finite"):
+        HypothesisPriors(0.5, math.inf)

@@ -49,6 +49,11 @@ def test_mcmc_config_validation():
         McmcConfig(n_chains=0)
     with pytest.raises(ParameterError):
         McmcConfig(init_strategy="hopeful")
+    for field in ("n_chains", "burn_in", "keep", "thin", "seed"):
+        for value in (2.0, True):
+            with pytest.raises(ParameterError, match=field):
+                McmcConfig(**{field: value})
+    assert McmcConfig(n_chains=np.int64(2), seed=np.uint64(7)).n_chains == 2
     assert McmcConfig(keep=1000, thin=10).n_retained == 100
 
 

@@ -62,7 +62,7 @@ def test_gamma_shape_one_is_exponential():
     assert abs(tail.mean() - 1.0) < 0.02
 
 
-@pytest.mark.parametrize("shape", [0.05, 0.1, 0.5])
+@pytest.mark.parametrize("shape", [0.01, 0.05, 0.1, 0.5])
 def test_gamma_small_shapes_stay_valid(shape):
     draws = sample_gamma(Rng(6), GammaParams(shape, 1.0), size=N)
     assert np.all(draws > 0)
