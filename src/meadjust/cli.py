@@ -93,7 +93,7 @@ def _load_config(args) -> ExperimentConfig:
         with open(args.config, encoding="utf-8") as f:
             try:
                 d = json.load(f)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParameterError(f"bad config file: {exc}") from exc
         cfg = experiment_from_dict(d)
     else:
@@ -214,16 +214,7 @@ def _naive_fit(cohort, kind: str, log_exposure: bool):
 def _cmd_naive(args) -> int:
     cohort = read_cohort(args.cohort)
     fit = _naive_fit(cohort, args.kind, args.log_exposure)
-    row = {
-        "kind": args.kind,
-        "intercept": fit.intercept,
-        "slope": fit.slope,
-        "slope_se": fit.slope_se,
-        "ci95_lo": fit.ci95_lo,
-        "ci95_hi": fit.ci95_hi,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-    }
+    row = {"kind": args.kind, **dataclasses.asdict(fit)}
     if args.kind == "logistic":
         row.update(
             odds_ratio=math.exp(fit.slope),

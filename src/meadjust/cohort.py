@@ -8,8 +8,8 @@ error is additive and the attenuation factor has a closed form.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -141,33 +141,49 @@ _HEADER = ["x_true", "w_obs", "y", "z"]
 _PROVENANCE_PREFIX = "# meadjust-cohort "
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the text chunks, in order and as given (no newline
+    translation), to a temporary sibling of path, then move it into place:
+    a reader never sees a half-written file."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as f:
+        f.writelines(chunks)
+    os.replace(tmp, path)
+
+
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort CSV at full round-trip precision, atomically.
 
     The config (when known) is embedded as a '#'-prefixed JSON provenance
-    line ahead of the header so a read can restore it.
+    line (LF-terminated) ahead of the header so a read can restore it; the
+    header and the rows end in CRLF. Rows are streamed, never held as one
+    string.
     """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as f:
-        if cohort.config is not None:
-            f.write(_PROVENANCE_PREFIX + json.dumps(dataclasses.asdict(cohort.config)) + "\n")
-        writer = csv.writer(f)
-        writer.writerow(_HEADER)
-        for x, w, y, z in zip(cohort.x_true, cohort.w_obs, cohort.y, cohort.z):
-            writer.writerow([repr(float(x)), repr(float(w)), repr(float(y)), int(z)])
-    os.replace(tmp, path)
+    head = ",".join(_HEADER) + "\r\n"
+    if cohort.config is not None:
+        head = _PROVENANCE_PREFIX + json.dumps(dataclasses.asdict(cohort.config)) + "\n" + head
+    columns = (cohort.x_true.tolist(), cohort.w_obs.tolist(), cohort.y.tolist(), cohort.z.tolist())
+    rows = (f"{x!r},{w!r},{y!r},{z}\r\n" for x, w, y, z in zip(*columns))
+    write_atomic(path, itertools.chain([head], rows))
 
 
 def read_cohort(path) -> Cohort:
     """Read a cohort CSV; raises CohortParseError naming the bad line."""
     config = None
     xs, ws, ys, zs = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as f:
+    # bytes that are not UTF-8 decode to lone surrogates, so the error can
+    # name its line
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
         lineno = 0
         header_seen = False
         for raw in f:
             lineno += 1
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CohortParseError("not UTF-8 text", lineno) from None
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
                 continue

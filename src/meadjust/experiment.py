@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cohort import Cohort, CohortConfig
+from .cohort import Cohort, CohortConfig, write_atomic
 from .diagnostics import PosteriorSummary, RhatReport, require_draws, rhat, summarize, transform_summary
 from .errors import ParameterError
 from .mcmc import McmcConfig, ModelSpec, PosteriorSamples, run_chains
@@ -113,8 +113,18 @@ class CellResult:
     samples: PosteriorSamples
     summaries: list[PosteriorSummary]
     rhats: list[RhatReport]
-    target: PosteriorSummary
-    target_rhat: float
+
+    @property
+    def target(self) -> PosteriorSummary:
+        """The reported effect: the linear slope, or the logistic odds ratio."""
+        name = "beta" if self.kind == "linear" else "odds_ratio"
+        return next(s for s in self.summaries if s.parameter == name)
+
+    @property
+    def target_rhat(self) -> float:
+        """R-hat of the slope behind the target."""
+        name = "beta" if self.kind == "linear" else "alpha"
+        return next(r.rhat for r in self.rhats if r.parameter == name)
 
     @property
     def converged(self) -> bool:
@@ -158,22 +168,14 @@ def adjust_cell(
     samples = run_chains(spec, mcmc, stream=stream)
 
     summaries = [summarize(samples.pooled(name), parameter=name) for name in samples.param_names]
-    slope_name = "beta" if kind == "linear" else "alpha"
     if kind == "logistic":
         summaries.append(transform_summary(samples.pooled("alpha"), parameter="odds_ratio"))
-        target = summaries[-1]
-    else:
-        target = next(s for s in summaries if s.parameter == "beta")
-    rhats = _convergence_views(samples)
-    target_rhat = next(r.rhat for r in rhats if r.parameter == slope_name)
     return CellResult(
         kind=kind,
         variant=variant,
         samples=samples,
         summaries=summaries,
-        rhats=rhats,
-        target=target,
-        target_rhat=target_rhat,
+        rhats=_convergence_views(samples),
     )
 
 
@@ -250,13 +252,6 @@ def _fmt_human(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def write_table(base_path: str, rows: list[dict], formats, provenance: dict, title: str) -> list[str]:
     """Write one logical table as CSV/JSON/markdown siblings of base_path,
     creating its directory. The columns are the keys of the first row.
@@ -273,12 +268,12 @@ def write_table(base_path: str, rows: list[dict], formats, provenance: dict, tit
         lines = [f"# meadjust {prov_json}", ",".join(fieldnames)]
         for row in rows:
             lines.append(",".join(_fmt_full(row[f]) for f in fieldnames))
-        _write_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, ["\n".join(lines) + "\n"])
         written.append(path)
     if "json" in formats:
         path = base_path + ".json"
         payload = {"provenance": provenance, "rows": rows}
-        _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         written.append(path)
     if "markdown" in formats:
         path = base_path + ".md"
@@ -288,7 +283,7 @@ def write_table(base_path: str, rows: list[dict], formats, provenance: dict, tit
             lines.append("| " + " | ".join(_fmt_human(row[f]) for f in fieldnames) + " |")
         lines.append("")
         lines.append(f"<!-- meadjust {prov_json} -->")
-        _write_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, ["\n".join(lines) + "\n"])
         written.append(path)
     return written
 
@@ -302,22 +297,13 @@ def write_traces(samples: PosteriorSamples, out_dir, prefix: str = "trace") -> l
         path = os.path.join(os.fspath(out_dir), f"{prefix}_chain{c}.csv")
         draws = zip(*(chain[name].tolist() for name in samples.param_names))
         lines = [",".join(samples.param_names)] + [",".join(map(repr, row)) for row in draws]
-        _write_atomic(path, "\r\n".join(lines) + "\r\n")
+        write_atomic(path, ["\r\n".join(lines) + "\r\n"])
         paths.append(path)
     return paths
 
 
 def summary_rows(cell: CellResult) -> list[dict]:
-    return [
-        {
-            "parameter": s.parameter,
-            "mean": s.mean,
-            "p2_5": s.p2_5,
-            "p97_5": s.p97_5,
-            "n_retained": s.n_retained,
-        }
-        for s in cell.summaries
-    ]
+    return [dataclasses.asdict(s) for s in cell.summaries]
 
 
 def rhat_rows(cell: CellResult) -> list[dict]:

@@ -19,6 +19,11 @@ during burn-in only and are then frozen, so retained draws come from a
 fixed kernel; from then on they count the acceptances that
 ``PosteriorSamples.acceptance_rates`` reports.
 
+``ModelSpec`` is the sampler's one view of the data: it owns log W,
+computed once, and ``covariate(l)``, the exposure the outcome model sees.
+Every block takes ``(state, spec)``, and the chain state repeats nothing
+the spec holds.
+
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
 """
@@ -80,7 +85,7 @@ def _mh_accept(rng: Rng, logr: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Model specification and data view
+# Model specification
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,8 @@ class ModelSpec:
     selects the covariate the outcome model sees: the exposure itself
     ("identity", the replication default) or its log ("log", where the
     classical attenuation factor applies and signal recovery is testable).
+    The spec owns log W, computed once per spec (``replace`` recomputes it),
+    and ``covariate(l)``.
     """
 
     kind: str  # "linear" | "logistic"
@@ -99,6 +106,7 @@ class ModelSpec:
     outcome: np.ndarray
     priors: PriorSet
     exposure_transform: str = "identity"
+    log_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "logistic"):
@@ -120,6 +128,7 @@ class ModelSpec:
         if self.kind == "logistic":
             if not set(np.unique(out)) <= {0.0, 1.0}:
                 raise ParameterError("logistic outcome must be 0/1")
+        object.__setattr__(self, "log_w", np.log(w))
 
     @classmethod
     def from_cohort(
@@ -142,19 +151,9 @@ class ModelSpec:
     def n(self) -> int:
         return len(self.w)
 
-
-class _Data:
-    """Precomputed arrays for one spec (log exposure cached)."""
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.w = spec.w
-        self.log_w = np.log(spec.w)
-        self.outcome = spec.outcome
-        self.n = spec.n
-
     def covariate(self, l):
-        if self.spec.exposure_transform == "identity":
+        """The exposure the outcome model sees at latent log exposures l."""
+        if self.exposure_transform == "identity":
             return _safe_exp(l)
         return l
 
@@ -236,7 +235,6 @@ class Proposal:
 class ChainState:
     """Complete MCMC state for one chain."""
 
-    kind: str
     coeff0: float
     coeff: float
     tau_eps: float | None
@@ -265,7 +263,7 @@ def _default_proposals(spec: ModelSpec) -> dict[str, Proposal]:
 # Likelihood pieces
 
 
-def _outcome_loglik_terms(state: ChainState, data: _Data, l, coeff0: float, coeff: float) -> np.ndarray:
+def _outcome_loglik_terms(state: ChainState, spec: ModelSpec, l, coeff0: float, coeff: float) -> np.ndarray:
     """Per-subject outcome log likelihood at latent log exposures l and
     coefficients (coeff0, coeff), without the linear model's normalizing
     constant (it depends on neither).
@@ -273,42 +271,42 @@ def _outcome_loglik_terms(state: ChainState, data: _Data, l, coeff0: float, coef
     Overflowing linear predictors propagate to -inf terms, which reject in
     any Metropolis ratio they enter.
     """
-    t = data.covariate(l)
+    t = spec.covariate(l)
     with np.errstate(over="ignore"):
         eta = coeff0 + coeff * t
-        if state.kind == "linear":
-            return -0.5 * state.tau_eps * (data.outcome - eta) ** 2
-        return data.outcome * eta - np.logaddexp(0.0, eta)
+        if spec.kind == "linear":
+            return -0.5 * state.tau_eps * (spec.outcome - eta) ** 2
+        return spec.outcome * eta - np.logaddexp(0.0, eta)
 
 
-def _outcome_at(state: ChainState, data: _Data, l) -> np.ndarray:
+def _outcome_at(state: ChainState, spec: ModelSpec, l) -> np.ndarray:
     """Per-subject outcome log likelihood at l and the current coefficients."""
-    return _outcome_loglik_terms(state, data, l, state.coeff0, state.coeff)
+    return _outcome_loglik_terms(state, spec, l, state.coeff0, state.coeff)
 
 
-def _latent_conditional(data: _Data, mu_x: float, tau_x: float, tau_e: float):
+def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float):
     """Mean m_i and precision tau_e + tau_x of each latent log exposure
     given the measurement and population models, without the outcome."""
     prec = tau_e + tau_x
-    return (tau_e * data.log_w + tau_x * mu_x) / prec, prec
+    return (tau_e * spec.log_w + tau_x * mu_x) / prec, prec
 
 
 # ---------------------------------------------------------------------------
 # Conjugate full conditionals
 
 
-def full_conditional_coeffs_linear(state: ChainState, data: _Data):
+def full_conditional_coeffs_linear(state: ChainState, spec: ModelSpec):
     """Exact bivariate normal full conditional of the linear (intercept,
     slope), as (mean vector, precision matrix)."""
-    if state.kind != "linear":
+    if spec.kind != "linear":
         raise ParameterError("coefficient full conditional is for the linear model")
-    priors = data.spec.priors
-    t = data.covariate(state.l)
-    n = data.n
+    priors = spec.priors
+    t = spec.covariate(state.l)
+    n = spec.n
     st = float(t.sum())
     stt = float(t @ t)
-    sy = float(data.outcome.sum())
-    sty = float(t @ data.outcome)
+    sy = float(spec.outcome.sum())
+    sty = float(t @ spec.outcome)
     prec = state.tau_eps * np.array([[n, st], [st, stt]])
     prec[0, 0] += 1.0 / priors.coeff0.variance
     prec[1, 1] += 1.0 / priors.coeff.variance
@@ -319,8 +317,8 @@ def full_conditional_coeffs_linear(state: ChainState, data: _Data):
     return mean, prec
 
 
-def _draw_linear_coeffs(state: ChainState, data: _Data):
-    mean, prec = full_conditional_coeffs_linear(state, data)
+def _draw_linear_coeffs(state: ChainState, spec: ModelSpec):
+    mean, prec = full_conditional_coeffs_linear(state, spec)
     chol = np.linalg.cholesky(prec)
     z = state.rng.standard_normal(2)
     draw = mean + np.linalg.solve(chol.T, z)
@@ -346,17 +344,17 @@ def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
 # Metropolis updates
 
 
-def update_logistic_coeffs(state: ChainState, data: _Data):
+def update_logistic_coeffs(state: ChainState, spec: ModelSpec):
     """Joint random-walk Metropolis on the logistic (intercept, slope), with
     an adapted proposal covariance."""
-    priors = data.spec.priors
+    priors = spec.priors
     proposal = state.proposals["coeffs"]
     prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
 
     def log_target(c0, c1):
         lp = _normal_logpdf(c0, priors.coeff0.mean, priors.coeff0.variance)
         lp += _normal_logpdf(c1, priors.coeff.mean, priors.coeff.variance)
-        return lp + float(_outcome_loglik_terms(state, data, state.l, c0, c1).sum())
+        return lp + float(_outcome_loglik_terms(state, spec, state.l, c0, c1).sum())
 
     logr = log_target(prop0, prop1) - log_target(state.coeff0, state.coeff)
     accepted = _mh_accept(state.rng, logr)
@@ -366,7 +364,7 @@ def update_logistic_coeffs(state: ChainState, data: _Data):
     proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
 
 
-def update_latent_exposure(state: ChainState, data: _Data):
+def update_latent_exposure(state: ChainState, spec: ModelSpec):
     """Independence sampler on the latent log exposures.
 
     Each subject proposes from its exact no-outcome conditional
@@ -376,23 +374,23 @@ def update_latent_exposure(state: ChainState, data: _Data):
     are independent given the parameters). Rejections leave entries
     unchanged.
     """
-    m, prec = _latent_conditional(data, state.mu_x, state.tau_x, state.tau_e)
-    prop = m + state.rng.standard_normal(data.n) / math.sqrt(prec)
-    logr = _outcome_at(state, data, prop) - _outcome_at(state, data, state.l)
-    accept = np.log(1.0 - state.rng.uniform(size=data.n)) < logr
+    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e)
+    prop = m + state.rng.standard_normal(spec.n) / math.sqrt(prec)
+    logr = _outcome_at(state, spec, prop) - _outcome_at(state, spec, state.l)
+    accept = np.log(1.0 - state.rng.uniform(size=spec.n)) < logr
     state.l[:] = np.where(accept, prop, state.l)
-    state.proposals["latent"].record(accept.sum(), data.n)
+    state.proposals["latent"].record(accept.sum(), spec.n)
 
 
-def update_mu_x_tau_x(state: ChainState, data: _Data):
+def update_mu_x_tau_x(state: ChainState, spec: ModelSpec):
     """Exposure-population update: location then precision.
 
     The location is a conjugate normal draw under a normal prior and a
     random-walk Metropolis step on the log axis under the lognormal prior;
     the precision is a conjugate gamma draw on the centered residuals.
     """
-    priors = data.spec.priors
-    n = data.n
+    priors = spec.priors
+    n = spec.n
     l_sum = float(state.l.sum())
     if isinstance(priors.mu_x, NormalPrior):
         post_prec = 1.0 / priors.mu_x.variance + n * state.tau_x
@@ -421,7 +419,7 @@ def _softplus(x: float) -> float:
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def update_structural(state: ChainState, data: _Data):
+def update_structural(state: ChainState, spec: ModelSpec):
     """Ridge move: a random-walk step in u = logit(r), r = (1/tau_e)/V.
 
     It holds mu_x, V = 1/tau_x + 1/tau_e and the standardised latents
@@ -430,7 +428,7 @@ def update_structural(state: ChainState, data: _Data):
     gamma log priors of (tau_x, tau_e), the log-Jacobian -log r - log(1 - r)
     and the outcome log ratio at l'_i = m'_i + eps_i / sqrt(tau_e' + tau_x').
     """
-    priors = data.spec.priors
+    priors = spec.priors
     proposal = state.proposals["structural"]
     log_tau_x, log_tau_e = math.log(state.tau_x), math.log(state.tau_e)
     log_v = float(np.logaddexp(-log_tau_x, -log_tau_e))
@@ -442,8 +440,8 @@ def update_structural(state: ChainState, data: _Data):
     tau_x_prop = math.exp(min(_softplus(u_prop) - log_v, _EXP_CAP))
     tau_e_prop = math.exp(min(_softplus(-u_prop) - log_v, _EXP_CAP))
 
-    m, prec = _latent_conditional(data, state.mu_x, state.tau_x, state.tau_e)
-    m_prop, prec_prop = _latent_conditional(data, state.mu_x, tau_x_prop, tau_e_prop)
+    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e)
+    m_prop, prec_prop = _latent_conditional(spec, state.mu_x, tau_x_prop, tau_e_prop)
     l_prop = m_prop + (state.l - m) * math.sqrt(prec / prec_prop)
 
     def log_prior_jacobian(u, tau_x, tau_e):
@@ -453,8 +451,8 @@ def update_structural(state: ChainState, data: _Data):
     logr = (
         log_prior_jacobian(u_prop, tau_x_prop, tau_e_prop)
         - log_prior_jacobian(u, state.tau_x, state.tau_e)
-        + float(_outcome_at(state, data, l_prop).sum())
-        - float(_outcome_at(state, data, state.l).sum())
+        + float(_outcome_at(state, spec, l_prop).sum())
+        - float(_outcome_at(state, spec, state.l).sum())
     )
     accepted = _mh_accept(state.rng, logr)
     if accepted:
@@ -468,19 +466,18 @@ def update_structural(state: ChainState, data: _Data):
 # Scan, initialization, runner
 
 
-def _scan(state: ChainState, data: _Data):
+def _scan(state: ChainState, spec: ModelSpec):
     """One full sweep in fixed order; the order is part of the kernel."""
-    spec = data.spec
     if spec.kind == "linear":
-        _draw_linear_coeffs(state, data)
-        resid = data.outcome - state.coeff0 - state.coeff * data.covariate(state.l)
+        _draw_linear_coeffs(state, spec)
+        resid = spec.outcome - state.coeff0 - state.coeff * spec.covariate(state.l)
         state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
     else:
-        update_logistic_coeffs(state, data)
-    state.tau_e = _draw_precision(state, data.log_w - state.l, spec.priors.tau_e)
-    update_mu_x_tau_x(state, data)
-    update_latent_exposure(state, data)
-    update_structural(state, data)
+        update_logistic_coeffs(state, spec)
+    state.tau_e = _draw_precision(state, spec.log_w - state.l, spec.priors.tau_e)
+    update_mu_x_tau_x(state, spec)
+    update_latent_exposure(state, spec)
+    update_structural(state, spec)
     state.iteration += 1
     for proposal in state.proposals.values():
         proposal.end_scan(state.iteration)
@@ -499,42 +496,40 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
     exposures start at log W. A lognormal location prior cannot sit at
     zero, so its start is clamped positive.
     """
-    data = _Data(spec)
     priors = spec.priors
     offset = _COEFF_OFFSETS[chain_index % 3] + 0.1 * (chain_index // 3)
-    l0 = data.log_w.copy()
+    l0 = spec.log_w.copy()
 
     if strategy == "paper_replication":
         coeff0, coeff = offset, offset
         if spec.kind == "logistic":
-            zbar = float(np.clip(data.outcome.mean(), 1e-6, 1.0 - 1e-6)) if data.n else 0.5
+            zbar = float(np.clip(spec.outcome.mean(), 1e-6, 1.0 - 1e-6)) if spec.n else 0.5
             coeff0 = math.log(zbar / (1.0 - zbar)) + offset
         tau_eps = 1.0 if spec.kind == "linear" else None
         tau_x = 1.0
         tau_e = 1.0
         mu_x = 1.0 if isinstance(priors.mu_x, LogNormalPrior) else 0.0
     elif strategy == "naive_start":
-        t_obs = data.w if spec.exposure_transform == "identity" else data.log_w
+        t_obs = spec.w if spec.exposure_transform == "identity" else spec.log_w
         if spec.kind == "linear":
-            fit = fit_linear(t_obs, data.outcome)
-            resid = data.outcome - fit.intercept - fit.slope * t_obs
+            fit = fit_linear(t_obs, spec.outcome)
+            resid = spec.outcome - fit.intercept - fit.slope * t_obs
             tau_eps = 1.0 / max(float(resid.var()), 1e-12)
         else:
-            fit = fit_logistic(t_obs, data.outcome)
+            fit = fit_logistic(t_obs, spec.outcome)
             tau_eps = None
         se = fit.slope_se if math.isfinite(fit.slope_se) and fit.slope_se > 0 else 0.1
         coeff0 = fit.intercept
         coeff = fit.slope + offset * 4.0 * se
-        lw_var = float(data.log_w.var())
+        lw_var = float(spec.log_w.var())
         tau_x = 1.0 / max(lw_var, 1e-6)
         tau_e = priors.tau_e.mean
-        loc = float(data.log_w.mean())
+        loc = float(spec.log_w.mean())
         mu_x = max(loc, 0.05) if isinstance(priors.mu_x, LogNormalPrior) else loc
     else:
         raise ParameterError(f"unknown init_strategy {strategy!r}")
 
     state = ChainState(
-        kind=spec.kind,
         coeff0=float(coeff0),
         coeff=float(coeff),
         tau_eps=tau_eps,
@@ -545,7 +540,7 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
         rng=rng,
         proposals=_default_proposals(spec),
     )
-    _check_finite_at_init(state, data)
+    _check_finite_at_init(state, spec)
     return state
 
 
@@ -555,10 +550,10 @@ def _mu_x_logprior(mu_x: float, prior) -> float:
     return _normal_logpdf(mu_x, prior.mean, prior.variance)
 
 
-def _check_finite_at_init(state: ChainState, data: _Data):
+def _check_finite_at_init(state: ChainState, spec: ModelSpec):
     """Raise InitializationError naming the first non-finite log-posterior
     term (the logistic model is the historically fragile one)."""
-    priors = data.spec.priors
+    priors = spec.priors
     checks = [
         ("coeff0", _normal_logpdf(state.coeff0, priors.coeff0.mean, priors.coeff0.variance)),
         ("coeff", _normal_logpdf(state.coeff, priors.coeff.mean, priors.coeff.variance)),
@@ -566,13 +561,13 @@ def _check_finite_at_init(state: ChainState, data: _Data):
         ("tau_x", _gamma_logpdf(state.tau_x, priors.tau_x)),
         ("tau_e", _gamma_logpdf(state.tau_e, priors.tau_e)),
     ]
-    if state.kind == "linear":
+    if spec.kind == "linear":
         checks.append(("tau_eps", _gamma_logpdf(state.tau_eps, priors.tau_eps)))
-    dev_e = data.log_w - state.l
+    dev_e = spec.log_w - state.l
     checks.append(("latent_exposure", -0.5 * state.tau_e * float(dev_e @ dev_e)))
     dev_x = state.l - state.mu_x
     checks.append(("latent_exposure", -0.5 * state.tau_x * float(dev_x @ dev_x)))
-    outcome = _outcome_at(state, data, state.l)
+    outcome = _outcome_at(state, spec, state.l)
     checks.append(("outcome", float(outcome.sum())))
     for name, value in checks:
         if not math.isfinite(value):
@@ -608,15 +603,8 @@ class McmcConfig:
         return self.keep // self.thin
 
 
-def _param_names(spec: ModelSpec) -> list[str]:
-    if spec.kind == "linear":
-        names = ["beta0", "beta", "tau_eps"]
-    else:
-        names = ["alpha0", "alpha"]
-    return names + ["tau_e", "mu_x", "tau_x"]
-
-
 def _record(state: ChainState, spec: ModelSpec) -> dict[str, float]:
+    """One retained draw; its keys, in order, are the parameter names."""
     if spec.kind == "linear":
         row = {"beta0": state.coeff0, "beta": state.coeff, "tau_eps": state.tau_eps}
     else:
@@ -629,14 +617,19 @@ def _record(state: ChainState, spec: ModelSpec) -> dict[str, float]:
 
 @dataclass
 class PosteriorSamples:
-    """Retained draws, one dict of parameter arrays per chain."""
+    """Retained draws, one dict of parameter arrays per chain, and the
+    acceptance rate of each Metropolis block per chain."""
 
-    kind: str
-    param_names: list[str]
     chains: list[dict[str, np.ndarray]]
-    n_retained: int
-    mcmc: McmcConfig
     acceptance_rates: list[dict[str, float]]
+
+    @property
+    def param_names(self) -> list[str]:
+        return list(self.chains[0])
+
+    @property
+    def n_retained(self) -> int:
+        return len(next(iter(self.chains[0].values())))
 
     def chain_arrays(self, name: str) -> list[np.ndarray]:
         return [c[name] for c in self.chains]
@@ -653,36 +646,23 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     are bit-reproducible however chains are scheduled). Proposals adapt
     during burn-in only.
     """
-    names = _param_names(spec)
-    data = _Data(spec)
     chains = []
     rates = []
     for c in range(mcmc.n_chains):
         rng = Rng(mcmc.seed, stream + (c,))
         state = initial_state(spec, mcmc.init_strategy, c, rng)
         for _ in range(mcmc.burn_in):
-            _scan(state, data)
+            _scan(state, spec)
         for proposal in state.proposals.values():
             proposal.freeze()
-        store = {name: np.empty(mcmc.n_retained) for name in names}
-        k = 0
+        rows = []
         for t in range(mcmc.keep):
-            _scan(state, data)
+            _scan(state, spec)
             if (t + 1) % mcmc.thin == 0:
-                row = _record(state, spec)
-                for name in names:
-                    store[name][k] = row[name]
-                k += 1
-        chains.append(store)
+                rows.append(_record(state, spec))
+        chains.append({name: np.array([row[name] for row in rows]) for name in rows[0]})
         rates.append({block: proposal.rate for block, proposal in state.proposals.items()})
-    return PosteriorSamples(
-        kind=spec.kind,
-        param_names=names,
-        chains=chains,
-        n_retained=mcmc.n_retained,
-        mcmc=mcmc,
-        acceptance_rates=rates,
-    )
+    return PosteriorSamples(chains=chains, acceptance_rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +684,6 @@ def sample_prior_state(spec: ModelSpec, rng: Rng) -> ChainState:
     tau_eps = sample_gamma(rng, priors.tau_eps) if spec.kind == "linear" else None
     l = mu_x + rng.standard_normal(spec.n) / math.sqrt(tau_x)
     return ChainState(
-        kind=spec.kind,
         coeff0=float(coeff0),
         coeff=float(coeff),
         tau_eps=tau_eps,
@@ -721,7 +700,7 @@ def sample_data_given_state(state: ChainState, spec: ModelSpec, rng: Rng) -> Mod
     """Redraw (w, outcome) from the model at the current state."""
     log_w = state.l + rng.standard_normal(len(state.l)) / math.sqrt(state.tau_e)
     w = np.exp(log_w)
-    eta = state.coeff0 + state.coeff * _Data(spec).covariate(state.l)
+    eta = state.coeff0 + state.coeff * spec.covariate(state.l)
     if spec.kind == "linear":
         outcome = eta + rng.standard_normal(len(eta)) / math.sqrt(state.tau_eps)
     else:

@@ -52,11 +52,15 @@ class Rng:
     stream : tuple of int, optional
         Stream path under the master seed. Instances with distinct paths
         are independent; the empty path is the root stream.
+
+    A negative seed or stream entry raises ``ParameterError``.
     """
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
+        if self.seed < 0 or any(s < 0 for s in self.stream):
+            raise ParameterError(f"seeds must be non-negative, got seed {self.seed} with stream {self.stream}")
         ss = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 

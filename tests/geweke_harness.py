@@ -40,7 +40,7 @@ class GewekeResult:
         return max(abs(z) for z in self.z_scores.values())
 
 
-def _monitors(state, lognormal_mu: bool) -> dict[str, float]:
+def _monitors(state, spec: ModelSpec) -> dict[str, float]:
     g = {
         "coeff0": state.coeff0,
         "coeff": state.coeff,
@@ -49,16 +49,18 @@ def _monitors(state, lognormal_mu: bool) -> dict[str, float]:
         "log_tau_x": math.log(state.tau_x),
         # error share r = (1/tau_e) / (1/tau_x + 1/tau_e), the ridge move's axis
         "logit_r": math.log(state.tau_x) - math.log(state.tau_e),
-        "mu_axis": math.log(state.mu_x) if lognormal_mu else state.mu_x,
+        # its square: a mean comparison of logit_r alone misses a change
+        # that keeps logit_r symmetric (equal tau_x and tau_e priors)
+        "logit_r_sq": (math.log(state.tau_x) - math.log(state.tau_e)) ** 2,
+        "mu_axis": math.log(state.mu_x) if isinstance(spec.priors.mu_x, LogNormalPrior) else state.mu_x,
         "l0": state.l[0],
     }
-    if state.kind == "linear":
+    if spec.kind == "linear":
         g["log_tau_eps"] = math.log(state.tau_eps)
     return g
 
 
 def run_geweke(kind: str, transform: str, priors: PriorSet, seed: int, thin: int, label: str) -> GewekeResult:
-    lognormal_mu = isinstance(priors.mu_x, LogNormalPrior)
     spec0 = ModelSpec(
         kind=kind,
         w=np.ones(N_SUBJECTS),
@@ -68,11 +70,11 @@ def run_geweke(kind: str, transform: str, priors: PriorSet, seed: int, thin: int
     )
 
     rng_mc = Rng(seed, (0,))
-    keys = list(_monitors(mcmc.sample_prior_state(spec0, rng_mc), lognormal_mu))
+    keys = list(_monitors(mcmc.sample_prior_state(spec0, rng_mc), spec0))
     mc = {k: np.empty(ROUNDS) for k in keys}
     for r in range(ROUNDS):
         st = mcmc.sample_prior_state(spec0, rng_mc)
-        for k, v in _monitors(st, lognormal_mu).items():
+        for k, v in _monitors(st, spec0).items():
             mc[k][r] = v
 
     rng_sc = Rng(seed, (1,))
@@ -83,9 +85,9 @@ def run_geweke(kind: str, transform: str, priors: PriorSet, seed: int, thin: int
     sc = {k: np.empty(ROUNDS) for k in keys}
     for r in range(ROUNDS):
         for _ in range(thin):
-            mcmc._scan(state, mcmc._Data(spec))
+            mcmc._scan(state, spec)
             spec = mcmc.sample_data_given_state(state, spec0, rng_sc)
-        for k, v in _monitors(state, lognormal_mu).items():
+        for k, v in _monitors(state, spec0).items():
             sc[k][r] = v
 
     z_scores = {}

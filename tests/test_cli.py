@@ -236,6 +236,7 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"mcmc": {"n_chains": 2.0}}, "n_chains"),
         ({"cohort": {"n": 50.0}}, "n must be an integer"),
         ({"mcmc": {"seed": 1.7}}, "seed"),
+        ({"mcmc": {"seed": -1}}, "seed"),
     ]
     for config, key in cases:
         path.write_text(json.dumps(config))
@@ -294,9 +295,22 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path):
 
 def test_bad_config_json_exit_code(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text("{not json")
-    assert main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
-    assert "bad config file" in capsys.readouterr().err
+    for body in (b"{not json", b'{"cohort": {"n": 100}}\xff'):
+        path.write_bytes(body)
+        assert main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2, body
+        assert "bad config file" in capsys.readouterr().err, body
+
+
+def test_negative_seed_exit_code(tmp_path, capsys):
+    cohort_file = _write_cohort_file(tmp_path, n=100, seed=6)
+    for argv in (
+        ["simulate", "--n", "10"],
+        ["evidence"],
+        ["replicate", "--n", "100"],
+        ["adjust", str(cohort_file), "--kind", "linear"],
+    ):
+        assert main(argv + ["--seed=-1", "--out-dir", str(tmp_path / "o")]) == 2, argv
+        assert "seed -1" in capsys.readouterr().err, argv
 
 
 def test_naive_non_finite_cohort_exit_code(tmp_path, capsys):

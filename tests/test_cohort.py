@@ -128,11 +128,12 @@ def test_negative_exposure_rejected(tmp_path):
         ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,inf,0.0,0\n", 3),
         ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,1.0,nan,0\n", 3),
         ("x_true,w_obs,y,z\ninf,1.0,0.0,1\n", 2),
+        (b"x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,1.0,\xff0.0,0\n", 3),
     ],
 )
 def test_malformed_files_name_line(tmp_path, body, lineno):
     path = tmp_path / "bad.csv"
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(CohortParseError, match=f"line {lineno}"):
         read_cohort(path)
 

@@ -32,7 +32,6 @@ def _state_for(x, y, priors, tau_eps=1.0):
     state = mcmc.initial_state(spec, "naive_start", 0, Rng(0)) if len(x) >= 3 else None
     if state is None:
         state = mcmc.ChainState(
-            kind="linear",
             coeff0=0.0,
             coeff=0.0,
             tau_eps=tau_eps,
@@ -45,7 +44,7 @@ def _state_for(x, y, priors, tau_eps=1.0):
         )
     state.tau_eps = tau_eps
     state.l = np.log(np.asarray(x, float))
-    return state, mcmc._Data(spec)
+    return state, spec
 
 
 def test_coeffs_single_point_analytic():

@@ -40,10 +40,9 @@ def test_latent_no_error_limit_sticks_to_log_w():
     w = rng.lognormal(size=200)
     spec = _linear_spec(w, rng.normal(size=200))
     state = _state(spec, tau_e=1e12, coeff=0.0, coeff0=0.0)
-    data = mcmc._Data(spec)
     for _ in range(200):
-        update_latent_exposure(state, data)
-    assert np.max(np.abs(state.l - data.log_w)) < 1e-5
+        update_latent_exposure(state, spec)
+    assert np.max(np.abs(state.l - spec.log_w)) < 1e-5
 
 
 def test_latent_shrinkage_oracle():
@@ -53,18 +52,17 @@ def test_latent_shrinkage_oracle():
     w = rng.lognormal(size=400)
     spec = _linear_spec(w, np.zeros(400))
     state = _state(spec, coeff=0.0, coeff0=0.0, tau_e=1.0, tau_x=1.0, mu_x=0.8)
-    data = mcmc._Data(spec)
     sums = np.zeros(400)
     sq_sums = np.zeros(400)
     n_sweeps = 6000
     for _ in range(500):
-        update_latent_exposure(state, data)
+        update_latent_exposure(state, spec)
     for _ in range(n_sweeps):
-        update_latent_exposure(state, data)
+        update_latent_exposure(state, spec)
         sums += state.l
         sq_sums += state.l**2
     avg = sums / n_sweeps
-    oracle = 0.5 * (data.log_w + 0.8)
+    oracle = 0.5 * (spec.log_w + 0.8)
     assert np.mean(np.abs(avg - oracle)) < 0.03
     var = sq_sums / n_sweeps - avg**2
     assert abs(var.mean() - 0.5) < 0.05
@@ -82,7 +80,6 @@ def test_logistic_coeffs_prior_recovery():
     )
     spec = ModelSpec(kind="logistic", w=np.ones(0), outcome=np.zeros(0), priors=priors)
     state = mcmc.ChainState(
-        kind="logistic",
         coeff0=0.0,
         coeff=0.0,
         tau_eps=None,
@@ -93,15 +90,14 @@ def test_logistic_coeffs_prior_recovery():
         rng=Rng(3),
         proposals=mcmc._default_proposals(spec),
     )
-    data = mcmc._Data(spec)
     for i in range(20_000):  # adaptation phase
-        update_logistic_coeffs(state, data)
+        update_logistic_coeffs(state, spec)
         state.iteration += 1
         state.proposals["coeffs"].end_scan(state.iteration)
     state.proposals["coeffs"].freeze()
     draws = np.empty(100_000)
     for i in range(len(draws)):
-        update_logistic_coeffs(state, data)
+        update_logistic_coeffs(state, spec)
         draws[i] = state.coeff
     assert abs(draws.mean()) < 0.1
     assert abs(draws.var() - 10.0) < 1.0
@@ -125,15 +121,14 @@ def test_logistic_coeffs_bvm_vs_mle():
     spec = ModelSpec(kind="logistic", w=x, outcome=z, priors=priors)
     state = _state(spec, rng_seed=5)
     state.l = np.log(x)  # exposure known: latent pinned at truth
-    data = mcmc._Data(spec)
     for _ in range(3000):
-        update_logistic_coeffs(state, data)
+        update_logistic_coeffs(state, spec)
         state.iteration += 1
         state.proposals["coeffs"].end_scan(state.iteration)
     state.proposals["coeffs"].freeze()
     draws = np.empty(20_000)
     for i in range(len(draws)):
-        update_logistic_coeffs(state, data)
+        update_logistic_coeffs(state, spec)
         draws[i] = state.coeff
     fit = fit_logistic(x, z)
     assert fit.converged
@@ -146,7 +141,6 @@ def test_logistic_coeffs_bvm_vs_mle():
 def test_mu_tau_prior_recovery_no_data():
     spec = _linear_spec(np.ones(0), np.zeros(0))
     state = mcmc.ChainState(
-        kind="linear",
         coeff0=0.0,
         coeff=0.0,
         tau_eps=1.0,
@@ -157,11 +151,10 @@ def test_mu_tau_prior_recovery_no_data():
         rng=Rng(6),
         proposals=mcmc._default_proposals(spec),
     )
-    data = mcmc._Data(spec)
     mus = np.empty(30_000)
     taus = np.empty(30_000)
     for i in range(len(mus)):
-        update_mu_x_tau_x(state, data)
+        update_mu_x_tau_x(state, spec)
         mus[i] = state.mu_x
         taus[i] = state.tau_x
     # prior: mu ~ N(0, 10), tau ~ Gamma(1, 1)
@@ -177,10 +170,9 @@ def test_mu_tau_conjugate_oracle_strong_data():
     spec = _linear_spec(np.exp(l), np.zeros(100_000))
     state = _state(spec, rng_seed=8)
     state.l = l.copy()
-    data = mcmc._Data(spec)
     mus, taus = [], []
     for i in range(600):
-        update_mu_x_tau_x(state, data)
+        update_mu_x_tau_x(state, spec)
         if i >= 100:
             mus.append(state.mu_x)
             taus.append(state.tau_x)
@@ -208,10 +200,9 @@ def test_mu_lognormal_prior_washout_matches_normal():
         state.l = l.copy()
         if isinstance(prior, LogNormalPrior):
             state.mu_x = 1.0
-        data = mcmc._Data(spec)
         mus = []
         for i in range(2500):
-            update_mu_x_tau_x(state, data)
+            update_mu_x_tau_x(state, spec)
             state.iteration += 1
             for proposal in state.proposals.values():
                 proposal.end_scan(state.iteration)

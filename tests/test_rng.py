@@ -30,6 +30,12 @@ def test_split_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_negative_seed_or_stream_rejected():
+    for seed, stream in ((-1, ()), (1, (0, -1))):
+        with pytest.raises(ParameterError, match="non-negative"):
+            Rng(seed, stream)
+
+
 def test_normal_moments():
     draws = Rng(2).standard_normal(N)
     assert abs(draws.mean()) < 0.005
