@@ -25,7 +25,6 @@ from .errors import (
 )
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
-    MODEL_KINDS,
     REPORT_FORMATS,
     ExperimentConfig,
     adjust_cell,
@@ -38,7 +37,7 @@ from .experiment import (
     write_table,
     write_traces,
 )
-from .mcmc import McmcConfig
+from .mcmc import MODEL_KINDS
 from .naive import fit_linear, fit_logistic
 from .priors import PRIOR_VARIANT_ORDER
 from .rng import Rng
@@ -60,10 +59,15 @@ def _number_list(value: str, convert, flag: str) -> list:
         raise ParameterError(f"{flag} takes comma-separated numbers, got {value!r}") from None
 
 
-def _report_formats(value: str) -> list[str]:
-    formats = _comma_list(value)
-    if not formats:
-        raise argparse.ArgumentTypeError("needs at least one report format")
+def _names(value: str) -> tuple[str, ...]:
+    names = tuple(_comma_list(value))
+    if not names:
+        raise argparse.ArgumentTypeError("needs at least one name")
+    return names
+
+
+def _report_formats(value: str) -> tuple[str, ...]:
+    formats = _names(value)
     for f in formats:
         if f not in REPORT_FORMATS:
             raise argparse.ArgumentTypeError(f"unknown report format {f!r}")
@@ -87,8 +91,24 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str):
         parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
+def _override(config, args):
+    """config with each field replaced by the flag of the same dest, where
+    that flag was given; nested configs are resolved field by field, so
+    --seed sets both the cohort and the MCMC seed."""
+    values = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            values[f.name] = _override(value, args)
+        elif getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    return dataclasses.replace(config, **values)
+
+
 def _load_config(args) -> ExperimentConfig:
-    """Resolve the experiment config: file values, then flag overrides."""
+    """Resolve a run's settings: the experiment defaults, then the config
+    file's values, then the flags that were given."""
+    cfg = ExperimentConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             try:
@@ -96,15 +116,7 @@ def _load_config(args) -> ExperimentConfig:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParameterError(f"bad config file: {exc}") from exc
         cfg = experiment_from_dict(d)
-    else:
-        cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            cohort=dataclasses.replace(cfg.cohort, seed=args.seed),
-            mcmc=dataclasses.replace(cfg.mcmc, seed=args.seed),
-        )
-    return cfg
+    return _override(cfg, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adj.add_argument("cohort")
     p_adj.add_argument("--kind", choices=MODEL_KINDS, required=True)
     p_adj.add_argument("--prior", choices=list(PRIOR_VARIANT_ORDER), default="uninformative")
-    p_adj.add_argument("--chains", type=int, default=None)
+    p_adj.add_argument("--chains", dest="n_chains", type=int, default=None)
     p_adj.add_argument("--burn-in", type=int, default=None)
     p_adj.add_argument("--keep", type=int, default=None)
     p_adj.add_argument("--thin", type=int, default=None)
@@ -159,9 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replicate", help="run the prior-variant grid and emit tables")
     _add_common(p_rep, "--seed", "--config", "--out-dir", "--format")
     p_rep.add_argument("--n", type=int, default=None, help="cohort size override")
-    p_rep.add_argument("--kinds", default=None, help="comma-separated subset of linear,logistic")
     p_rep.add_argument(
-        "--variants", default=None, help="comma-separated subset of the prior variants"
+        "--kinds", dest="model_kinds", type=_names, help="comma-separated subset of linear,logistic"
+    )
+    p_rep.add_argument(
+        "--variants", dest="prior_variants", type=_names, help="comma-separated subset of the prior variants"
     )
 
     p_ev = sub.add_parser("evidence", help="evidence-ratio table on the toy model")
@@ -181,21 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    cohort_cfg = _load_config(args).cohort if args.config else CohortConfig()
-    overrides = {
-        "seed": args.seed,
-        "n": args.n,
-        "mu_x": args.mu_x,
-        "tau_x": args.tau_x,
-        "tau_e": args.tau_e,
-        "pi": args.pi,
-        "beta_true": args.beta_true,
-        "alpha_true": args.alpha_true,
-        "tau_y": args.tau_y,
-        "outcome_kind": args.outcome_kind,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    cohort_cfg = dataclasses.replace(cohort_cfg, **overrides)
+    # without a config file, simulate defaults to the full-scale cohort
+    cohort_cfg = _load_config(args).cohort if args.config else _override(CohortConfig(), args)
     cohort = simulate_cohort(cohort_cfg)
     out = args.out or os.path.join(args.out_dir, "cohort.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -244,22 +245,9 @@ def _cmd_naive(args) -> int:
     return EXIT_OK
 
 
-def _mcmc_from_args(args, base: McmcConfig) -> McmcConfig:
-    overrides = {
-        "n_chains": args.chains,
-        "burn_in": args.burn_in,
-        "keep": args.keep,
-        "thin": args.thin,
-        "init_strategy": args.init_strategy,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(base, **overrides)
-
-
 def _cmd_adjust(args) -> int:
-    cfg = _load_config(args)
+    mcmc = _load_config(args).mcmc
     cohort = read_cohort(args.cohort)
-    mcmc = _mcmc_from_args(args, cfg.mcmc)
     transform = "log" if args.log_exposure else "identity"
     cell = adjust_cell(
         cohort,
@@ -316,12 +304,6 @@ def _cmd_adjust(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
-    if args.n is not None:
-        cfg = dataclasses.replace(cfg, cohort=dataclasses.replace(cfg.cohort, n=args.n))
-    if args.kinds:
-        cfg = dataclasses.replace(cfg, model_kinds=tuple(_comma_list(args.kinds)))
-    if args.variants:
-        cfg = dataclasses.replace(cfg, prior_variants=tuple(_comma_list(args.variants)))
     os.makedirs(args.out_dir, exist_ok=True)
 
     cohort = simulate_cohort(cfg.cohort)

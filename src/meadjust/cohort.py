@@ -50,6 +50,8 @@ class CohortConfig:
 
     def __post_init__(self):
         require_integers(self, ("n", "seed"))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got seed {self.seed}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         for name in ("tau_x", "tau_e", "tau_y"):

@@ -26,8 +26,8 @@ from . import __version__
 from .cohort import Cohort, CohortConfig, write_atomic
 from .diagnostics import PosteriorSummary, RhatReport, require_draws, rhat, summarize, transform_summary
 from .errors import ParameterError
-from .mcmc import McmcConfig, ModelSpec, PosteriorSamples, run_chains
-from .priors import PRIOR_VARIANT_ORDER, linear_priors, logistic_priors
+from .mcmc import MODEL_KINDS, McmcConfig, ModelSpec, PosteriorSamples, run_chains
+from .priors import PRIOR_VARIANT_ORDER, LogNormalPrior, PriorSet, linear_priors, logistic_priors
 
 __all__ = [
     "ExperimentConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "experiment_from_dict",
 ]
 
-MODEL_KINDS = ("linear", "logistic")
 REPORT_FORMATS = ("csv", "json", "markdown")
 
 # stream namespaces under the mcmc seed, so grid cells never share streams
@@ -67,37 +66,42 @@ class ExperimentConfig:
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
+    """The experiment defaults with each field the document names replaced;
+    a section that leaves out a key keeps that key's experiment default."""
     if not isinstance(d, dict):
         raise ParameterError("config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    extra = set(d) - known
+    defaults = ExperimentConfig()
+    extra = set(d) - {f.name for f in dataclasses.fields(defaults)}
     if extra:
         raise ParameterError(f"unknown config keys: {sorted(extra)}")
-    kwargs = dict(d)
+    kwargs = {}
     try:
-        for key, cls in (("cohort", CohortConfig), ("mcmc", McmcConfig)):
-            if key in kwargs:
-                kwargs[key] = cls(**kwargs[key])
-        for key in ("prior_variants", "model_kinds"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        for key, value in d.items():
+            default = getattr(defaults, key)
+            if dataclasses.is_dataclass(default):
+                kwargs[key] = dataclasses.replace(default, **value)
+            else:
+                kwargs[key] = tuple(value)
     except (TypeError, ParameterError) as exc:
         raise ParameterError(f"bad config value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+    return dataclasses.replace(defaults, **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # One adjustment cell: run chains, diagnose, summarize
 
 
-def _convergence_views(samples: PosteriorSamples) -> list[RhatReport]:
-    """R-hat per parameter, computed on the log scale for strictly positive
-    parameters (precisions, and the exposure location when its prior keeps
-    it positive) where the normal-theory diagnostic behaves."""
+def _convergence_views(samples: PosteriorSamples, priors: PriorSet) -> list[RhatReport]:
+    """R-hat per parameter, computed on the log scale, where the
+    normal-theory diagnostic behaves, for the parameters whose priors keep
+    them positive: the precisions, and the exposure location under a
+    lognormal prior. The scale follows the prior alone, never the draws, so
+    a cell's labels do not depend on its data."""
+    positive_mu_x = isinstance(priors.mu_x, LogNormalPrior)
     reports = []
     for name in samples.param_names:
         chains = samples.chain_arrays(name)
-        if name.startswith("tau") or (name == "mu_x" and all(np.all(c > 0) for c in chains)):
+        if name.startswith("tau") or (name == "mu_x" and positive_mu_x):
             chains = [np.log(c) for c in chains]
             label = f"log({name})"
         else:
@@ -140,7 +144,9 @@ class CellResult:
         return bool(self.target.p2_5 <= null <= self.target.p97_5)
 
 
-def priors_for(kind: str, variant: str, mu_x_normal: bool = False):
+def priors_for(kind: str, variant: str, mu_x_normal: bool = False) -> PriorSet:
+    if mu_x_normal and kind != "linear":
+        raise ParameterError(f"--mu-x-normal (mu_x_normal) applies to the linear model, not {kind!r}")
     if kind == "linear":
         return linear_priors(variant, mu_x_normal=mu_x_normal)
     return logistic_priors(variant)
@@ -175,7 +181,7 @@ def adjust_cell(
         variant=variant,
         samples=samples,
         summaries=summaries,
-        rhats=_convergence_views(samples),
+        rhats=_convergence_views(samples, priors),
     )
 
 

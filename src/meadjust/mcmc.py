@@ -42,6 +42,7 @@ from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 
 __all__ = [
+    "MODEL_KINDS",
     "ModelSpec",
     "McmcConfig",
     "ChainState",
@@ -87,6 +88,8 @@ def _mh_accept(rng: Rng, logr: float) -> bool:
 # ---------------------------------------------------------------------------
 # Model specification
 
+MODEL_KINDS = ("linear", "logistic")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -109,7 +112,7 @@ class ModelSpec:
     log_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("linear", "logistic"):
+        if self.kind not in MODEL_KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}")
         if self.exposure_transform not in ("identity", "log"):
             raise ParameterError(f"unknown exposure_transform {self.exposure_transform!r}")
@@ -585,6 +588,8 @@ class McmcConfig:
 
     def __post_init__(self):
         require_integers(self, ("n_chains", "burn_in", "keep", "thin", "seed"))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got seed {self.seed}")
         if self.n_chains < 1:
             raise ParameterError("n_chains must be >= 1")
         if self.burn_in < 0:

@@ -73,12 +73,16 @@ def fit_linear(w, y) -> FitResult:
     return FitResult.from_estimates(intercept, slope, se, converged=True, iterations=0)
 
 
+_MAX_ITER = 100  # Newton steps before giving up (converged=False)
+_SCORE_TOL = 1e-8  # score norm below which the fit has converged
+
+
 def _logistic_loglik(eta, z):
     # sum z*eta - log(1 + exp(eta)), stable for |eta| up to ~700
     return float(z @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def fit_logistic(w, z, max_iter: int = 100, score_tol: float = 1e-8) -> FitResult:
+def fit_logistic(w, z) -> FitResult:
     """Logistic regression of z on w by Newton/IRLS; slope on the log-odds scale.
 
     Starts at (logit(mean(z)), 0); halves the step while the log-likelihood
@@ -102,13 +106,13 @@ def fit_logistic(w, z, max_iter: int = 100, score_tol: float = 1e-8) -> FitResul
     ll = _logistic_loglik(eta, z)
     converged = False
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         iterations = it
         mu = expit(eta)
         score = X.T @ (z - mu)
         wt = mu * (1.0 - mu)
         info = X.T @ (X * wt[:, None])
-        if np.linalg.norm(score) < score_tol:
+        if np.linalg.norm(score) < _SCORE_TOL:
             converged = True
             iterations = it - 1
             break
@@ -133,7 +137,7 @@ def fit_logistic(w, z, max_iter: int = 100, score_tol: float = 1e-8) -> FitResul
     mu = expit(eta)
     score = X.T @ (z - mu)
     info = X.T @ (X * (mu * (1.0 - mu))[:, None])
-    if np.linalg.norm(score) < score_tol:
+    if np.linalg.norm(score) < _SCORE_TOL:
         converged = True
     if converged and np.max(np.abs(z - mu)) < 1e-6:
         # every fitted probability saturated at its outcome: the score only

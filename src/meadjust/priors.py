@@ -53,7 +53,7 @@ TAU_E_PRIORS: dict[str, GammaParams] = {
     "typeC": GammaParams(0.05, 1.0),
 }
 
-PRIOR_VARIANT_ORDER = ("uninformative", "typeA", "typeB", "typeC")
+PRIOR_VARIANT_ORDER = tuple(TAU_E_PRIORS)
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,16 @@ class PriorSet:
     tau_eps: GammaParams | None = None
 
 
-def _resolve_tau_e(tau_e: str | GammaParams) -> GammaParams:
-    if isinstance(tau_e, GammaParams):
-        return tau_e
+def _tau_e_prior(variant: str) -> GammaParams:
     try:
-        return TAU_E_PRIORS[tau_e]
+        return TAU_E_PRIORS[variant]
     except KeyError:
         raise ParameterError(
-            f"unknown tau_e prior variant {tau_e!r}; expected one of {PRIOR_VARIANT_ORDER}"
+            f"unknown tau_e prior variant {variant!r}; expected one of {PRIOR_VARIANT_ORDER}"
         ) from None
 
 
-def linear_priors(
-    tau_e: str | GammaParams = "uninformative",
-    mu_x_normal: bool = False,
-) -> PriorSet:
+def linear_priors(variant: str = "uninformative", mu_x_normal: bool = False) -> PriorSet:
     """Priors for the linear disease model.
 
     Replication default keeps the lognormal prior on the exposure location
@@ -103,18 +98,18 @@ def linear_priors(
         coeff=NormalPrior(0.0, 100.0),
         mu_x=mu_x,
         tau_x=GammaParams(0.01, 10.0),
-        tau_e=_resolve_tau_e(tau_e),
+        tau_e=_tau_e_prior(variant),
         tau_eps=GammaParams(0.01, 10.0),
     )
 
 
-def logistic_priors(tau_e: str | GammaParams = "uninformative") -> PriorSet:
+def logistic_priors(variant: str = "uninformative") -> PriorSet:
     """Priors for the logistic disease model."""
     return PriorSet(
         coeff0=NormalPrior(0.0, 10.0),
         coeff=NormalPrior(0.0, 10.0),
         mu_x=NormalPrior(0.0, 10.0),
         tau_x=GammaParams(0.1, 10.0),
-        tau_e=_resolve_tau_e(tau_e),
+        tau_e=_tau_e_prior(variant),
         tau_eps=None,
     )

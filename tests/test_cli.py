@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, file outputs, exit codes,
 determinism, and format consistency."""
 import csv
+import hashlib
 import json
 import math
 import re
@@ -237,12 +238,32 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"cohort": {"n": 50.0}}, "n must be an integer"),
         ({"mcmc": {"seed": 1.7}}, "seed"),
         ({"mcmc": {"seed": -1}}, "seed"),
+        ({"cohort": {"seed": -1}}, "seed"),
+        ({"prior_variants": ["typeZ"]}, "typeZ"),
+        ({"model_kinds": []}, "model_kinds"),
+        ([{"cohort": {"n": 100}}], "JSON object"),
     ]
     for config, key in cases:
         path.write_text(json.dumps(config))
         rc = main(["replicate", "--config", str(path), "--out-dir", str(tmp_path / "o")])
         assert rc == 2, config
         assert key in capsys.readouterr().err, config
+    # each config is refused before the cohort is simulated and written
+    assert not (tmp_path / "o" / "cohort.csv").exists()
+
+
+def test_partial_cohort_section_keeps_desk_scale(tmp_path, monkeypatch):
+    """Config values replace the experiment defaults field by field, so a
+    cohort section that names only the seed keeps n=2000."""
+    monkeypatch.setattr(cli, "run_replication_grid", lambda cfg, cohort: {})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cohort": {"seed": 1}}))
+    for command in ("simulate", "replicate"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(config), "--out-dir", str(out_dir)]) == 0, command
+        cohort = read_cohort(out_dir / "cohort.csv")
+        assert len(cohort) == 2000, command
+        assert cohort.config.seed == 1, command
 
 
 def test_replicate_variant_subset_reproduces_full_grid_rows(tmp_path):
@@ -260,10 +281,15 @@ def test_replicate_variant_subset_reproduces_full_grid_rows(tmp_path):
     assert typeA_rows[0] == typeA_rows[1]
 
 
-def test_unknown_format_exits_before_sampling(tmp_path, monkeypatch):
+def test_unknown_format_exits_before_sampling(tmp_path, monkeypatch, capsys):
+    """So does an empty --kinds or --variants list, which would otherwise
+    fall back to the whole grid."""
     monkeypatch.setattr(experiment, "run_chains", _no_sampling)
-    for formats in ("xml", "csv,xml", "", ","):
-        assert _exit_code(["replicate", f"--format={formats}", "--out-dir", str(tmp_path)]) == 2, formats
+    cases = {"--format": ("xml", "csv,xml", "", ","), "--kinds": ("", ","), "--variants": ("", ",")}
+    for flag, values in cases.items():
+        for value in values:
+            assert _exit_code(["replicate", f"{flag}={value}", "--out-dir", str(tmp_path)]) == 2, (flag, value)
+            assert flag in capsys.readouterr().err, (flag, value)
     assert not list(tmp_path.iterdir())
 
 
@@ -273,24 +299,50 @@ def test_adjust_unsummarisable_draws_exit_before_sampling(tmp_path, monkeypatch,
     for flags, message in (
         (["--chains", "1"], "chains"),
         (["--chains", "2", "--keep", "40", "--thin", "4"], "draws"),
+        (["--chains", "20", "--keep", "5", "--thin", "1"], "too short"),
     ):
         rc = main(["adjust", str(cohort_file), "--kind", "linear", "--out-dir", str(tmp_path / "o"), *flags])
         assert rc == 2, flags
         assert message in capsys.readouterr().err, flags
 
 
-def test_subcommands_reject_flags_they_do_not_read(tmp_path):
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, monkeypatch, capsys):
     cohort_file = _write_cohort_file(tmp_path, n=100, seed=6)
     config = tmp_path / "config.json"
     config.write_text("{}")
-    for argv in (
-        ["naive", str(cohort_file), "--kind", "linear", "--seed", "1"],
-        ["naive", str(cohort_file), "--kind", "linear", "--config", str(config)],
-        ["evidence", "--config", str(config)],
-        ["simulate", "--n", "10", "--format", "csv"],
+    monkeypatch.setattr(experiment, "run_chains", _no_sampling)
+    for argv, flag in (
+        (["naive", str(cohort_file), "--kind", "linear", "--seed", "1"], "--seed"),
+        (["naive", str(cohort_file), "--kind", "linear", "--config", str(config)], "--config"),
+        (["evidence", "--config", str(config)], "--config"),
+        (["simulate", "--n", "10", "--format", "csv"], "--format"),
+        (["adjust", str(cohort_file), "--kind", "logistic", "--mu-x-normal"], "--mu-x-normal"),
     ):
         assert _exit_code(argv + ["--out-dir", str(tmp_path / "o")]) == 2, argv
+        assert flag in capsys.readouterr().err, argv
     assert not (tmp_path / "o").exists()
+
+
+# SHA-256 of table_linear.csv then table_logistic.csv for the seed-101 desk
+# grid, recorded in BENCH_6.json under desk_grid.fingerprint_sha256["101"].
+# A change to the sampler's law changes it; such a change must update the
+# value here and say so.
+DESK_GRID_101_SHA256 = "cd3aa053654ee35dedd7822184837682c9b3e2c3af14c916b0053664aa2b2438"
+
+
+def test_replicate_desk_grid_fingerprint(tmp_path):
+    """Same-seed replicate tables stay byte-identical across refactors."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "cohort": {"n": 2000, "seed": 101},
+        "mcmc": {"n_chains": 3, "burn_in": 200, "keep": 50, "thin": 1, "seed": 101},
+    }))
+    out_dir = tmp_path / "rep"
+    assert main(["replicate", "--config", str(config), "--out-dir", str(out_dir)]) in (0, 3)
+    digest = hashlib.sha256()
+    for kind in ("linear", "logistic"):
+        digest.update((out_dir / f"table_{kind}.csv").read_bytes())
+    assert digest.hexdigest() == DESK_GRID_101_SHA256
 
 
 def test_bad_config_json_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ from meadjust import (
     ParameterError,
     fit_linear,
     linear_priors,
+    logistic_priors,
     read_cohort,
     simulate_cohort,
     write_cohort,
@@ -29,6 +30,8 @@ def test_config_validation_names_parameter():
     for kwargs in ({"n": 50.0}, {"n": True}, {"seed": 1.7}):
         with pytest.raises(ParameterError, match="must be an integer"):
             CohortConfig(**kwargs)
+    with pytest.raises(ParameterError, match="seed"):
+        CohortConfig(seed=-1)
     assert CohortConfig(n=np.int64(5)).n == 5
 
 
@@ -129,6 +132,9 @@ def test_negative_exposure_rejected(tmp_path):
         ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,1.0,nan,0\n", 3),
         ("x_true,w_obs,y,z\ninf,1.0,0.0,1\n", 2),
         (b"x_true,w_obs,y,z\n1.0,1.0,0.0,0\n1.0,1.0,\xff0.0,0\n", 3),
+        ('# meadjust-cohort {"n": 1,\nx_true,w_obs,y,z\n', 1),
+        ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n0.0,1.0,0.0,0\n", 3),
+        ("# a comment and no header\n", 1),
     ],
 )
 def test_malformed_files_name_line(tmp_path, body, lineno):
@@ -157,3 +163,14 @@ def test_model_spec_rejects_non_finite():
     for w, y in (([1.0, math.inf], [0.0, 0.0]), ([1.0, 2.0], [math.nan, 0.0])):
         with pytest.raises(ParameterError, match="finite"):
             ModelSpec(kind="linear", w=w, outcome=y, priors=linear_priors())
+    ok = dict(kind="linear", w=[1.0, 2.0], outcome=[0.0, 1.0], priors=linear_priors())
+    for changes, message in (
+        ({"kind": "probit"}, "model kind"),
+        ({"exposure_transform": "sqrt"}, "exposure_transform"),
+        ({"w": [1.0, 2.0, 3.0]}, "equal length"),
+        ({"w": [1.0, 0.0]}, "strictly positive"),
+        ({"priors": logistic_priors()}, "tau_eps"),
+        ({"kind": "logistic", "outcome": [0.0, 2.0], "priors": logistic_priors()}, "0/1"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            ModelSpec(**{**ok, **changes})

@@ -21,6 +21,7 @@ from meadjust import (
     simulate_cohort,
     write_traces,
 )
+from meadjust.experiment import adjust_cell
 from meadjust.priors import NormalPrior, PriorSet, linear_priors, logistic_priors
 
 
@@ -49,6 +50,9 @@ def test_mcmc_config_validation():
         McmcConfig(n_chains=0)
     with pytest.raises(ParameterError):
         McmcConfig(init_strategy="hopeful")
+    for field, value in (("burn_in", -1), ("keep", 0), ("seed", -1)):
+        with pytest.raises(ParameterError, match=field):
+            McmcConfig(**{field: value})
     for field in ("n_chains", "burn_in", "keep", "thin", "seed"):
         for value in (2.0, True):
             with pytest.raises(ParameterError, match=field):
@@ -172,6 +176,21 @@ def test_small_null_run_contains_zero():
     beta = samples.pooled("beta")
     lo, hi = np.percentile(beta, [2.5, 97.5])
     assert lo <= 0.0 <= hi
+
+
+def test_rhat_scale_of_mu_x_follows_its_prior():
+    """mu_x is diagnosed on the log scale only under the lognormal prior
+    that keeps it positive, however positive the draws of a normal-prior
+    cell happen to be."""
+    cohort = simulate_cohort(CohortConfig(n=300, mu_x=1.0, seed=5))
+    cfg = McmcConfig(n_chains=2, burn_in=100, keep=200, thin=2, seed=1)
+    for kind, mu_x_normal, label in (
+        ("logistic", False, "mu_x"),
+        ("linear", True, "mu_x"),
+        ("linear", False, "log(mu_x)"),
+    ):
+        cell = adjust_cell(cohort, kind, "uninformative", cfg, mu_x_normal=mu_x_normal)
+        assert [r.parameter for r in cell.rhats if "mu_x" in r.parameter] == [label], kind
 
 
 def test_write_traces(tmp_path):
