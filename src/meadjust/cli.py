@@ -15,14 +15,7 @@ import sys
 import numpy as np
 
 from .cohort import CohortConfig, read_cohort, simulate_cohort, write_cohort
-from .errors import (
-    CohortParseError,
-    DegenerateChainError,
-    InitializationError,
-    InsufficientSamplesError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import NumericalError, ParameterError
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
     REPORT_FORMATS,
@@ -404,10 +397,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, CohortParseError, InsufficientSamplesError, DegenerateChainError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, InitializationError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import CohortParseError, ParameterError
 from .rng import Rng
@@ -102,10 +103,6 @@ class Cohort:
         )
 
 
-def _expit(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def simulate_cohort(config: CohortConfig) -> Cohort:
     """Generate one cohort, deterministically for a given config.
 
@@ -131,7 +128,7 @@ def simulate_cohort(config: CohortConfig) -> Cohort:
 
     if config.outcome_kind in ("binary", "both"):
         logit_pi = math.log(config.pi / (1.0 - config.pi))
-        p = _expit(logit_pi + config.alpha_true * log_x)
+        p = expit(logit_pi + config.alpha_true * log_x)
         z = (root.split(_STREAM_Z).uniform(n) < p).astype(np.int64)
     else:
         z = np.zeros(n, dtype=np.int64)

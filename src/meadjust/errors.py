@@ -9,7 +9,7 @@ class SingularDesignError(ParameterError):
     """Regression design is degenerate (constant predictor, too few points)."""
 
 
-class CohortParseError(ValueError):
+class CohortParseError(ParameterError):
     """A cohort file is malformed; carries the offending line number."""
 
     def __init__(self, message: str, line: int):
@@ -17,15 +17,19 @@ class CohortParseError(ValueError):
         self.line = line
 
 
-class InsufficientSamplesError(ValueError):
+class InsufficientSamplesError(ParameterError):
     """Too few draws to produce a posterior summary."""
 
 
-class DegenerateChainError(ValueError):
+class DegenerateChainError(ParameterError):
     """Chains unusable for convergence assessment (constant, too short, too few)."""
 
 
-class InitializationError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of the numerical failures, which the CLI reports with exit code 4."""
+
+
+class InitializationError(NumericalError):
     """Non-finite log posterior at chain initialization; names the parameter."""
 
     def __init__(self, parameter: str, detail: str = ""):
@@ -34,7 +38,3 @@ class InitializationError(RuntimeError):
             msg += f" ({detail})"
         super().__init__(msg)
         self.parameter = parameter
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine failed to reach its accuracy target."""

@@ -53,16 +53,17 @@ class ExperimentConfig:
     model_kinds: tuple[str, ...] = MODEL_KINDS
 
     def __post_init__(self):
-        if not self.prior_variants:
-            raise ParameterError("prior_variants must be non-empty")
-        for v in self.prior_variants:
-            if v not in PRIOR_VARIANT_ORDER:
-                raise ParameterError(f"unknown prior variant {v!r}")
-        if not self.model_kinds:
-            raise ParameterError("model_kinds must be non-empty")
-        for k in self.model_kinds:
-            if k not in MODEL_KINDS:
-                raise ParameterError(f"unknown model kind {k!r}")
+        for key, names, known in (
+            ("prior_variants", self.prior_variants, PRIOR_VARIANT_ORDER),
+            ("model_kinds", self.model_kinds, MODEL_KINDS),
+        ):
+            if not names:
+                raise ParameterError(f"{key} must be non-empty")
+            unknown = [name for name in names if name not in known]
+            if unknown:
+                raise ParameterError(f"{key}: unknown name {unknown[0]!r}; known: {', '.join(known)}")
+            if len(set(names)) != len(names):
+                raise ParameterError(f"{key} names an entry twice: {list(names)}")
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
@@ -80,8 +81,10 @@ def experiment_from_dict(d: dict) -> ExperimentConfig:
             default = getattr(defaults, key)
             if dataclasses.is_dataclass(default):
                 kwargs[key] = dataclasses.replace(default, **value)
-            else:
+            elif isinstance(value, list) and all(isinstance(name, str) for name in value):
                 kwargs[key] = tuple(value)
+            else:
+                raise ParameterError(f"must be a JSON list of strings, got {value!r}")
     except (TypeError, ParameterError) as exc:
         raise ParameterError(f"bad config value for {key!r}: {exc}") from exc
     return dataclasses.replace(defaults, **kwargs)

@@ -1,9 +1,13 @@
 """Public names that the README's library use and the benchmark rely on
-must keep resolving, so that a deletion cannot quietly break either."""
+must keep resolving, so that a deletion cannot quietly break either; and
+the CLI must not import modules it does not use."""
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import meadjust
@@ -40,3 +44,11 @@ def test_benchmark_names_resolve():
     for module_name, attr in names:
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
     assert callable(meadjust.ModelSpec.from_cohort)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """scipy.integrate is about 0.4 s of start-up; no module needs it."""
+    code = "import sys, meadjust.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -241,6 +241,9 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"cohort": {"seed": -1}}, "seed"),
         ({"prior_variants": ["typeZ"]}, "typeZ"),
         ({"model_kinds": []}, "model_kinds"),
+        ({"model_kinds": {"linear": 0}}, "model_kinds"),
+        ({"prior_variants": "typeA"}, "prior_variants"),
+        ({"prior_variants": ["typeA", "typeA"]}, "prior_variants"),
         ([{"cohort": {"n": 100}}], "JSON object"),
     ]
     for config, key in cases:
