@@ -44,6 +44,8 @@ class ToyData:
             raise ParameterError("v and u must have equal length")
         if len(v) < 1:
             raise ParameterError("need at least one observation")
+        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+            raise ParameterError("v and u must be finite")
         if not (0 < self.noise_precision < math.inf):
             raise ParameterError(f"noise precision must be finite and > 0, got {self.noise_precision}")
 

@@ -251,6 +251,13 @@ def _fmt_full(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """A non-finite float as the string the CSV shows; strict JSON has no inf or nan."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
 def _fmt_human(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -266,7 +273,8 @@ def write_table(base_path: str, rows: list[dict], formats, provenance: dict, tit
     creating its directory. The columns are the keys of the first row.
 
     CSV and JSON carry full float precision; markdown renders 4 significant
-    digits. All three embed the provenance block.
+    digits. JSON writes a non-finite value as the CSV's string ("inf",
+    "-inf", "nan"). All three embed the provenance block.
     """
     os.makedirs(os.path.dirname(base_path) or ".", exist_ok=True)
     fieldnames = list(rows[0])
@@ -281,7 +289,7 @@ def write_table(base_path: str, rows: list[dict], formats, provenance: dict, tit
         written.append(path)
     if "json" in formats:
         path = base_path + ".json"
-        payload = {"provenance": provenance, "rows": rows}
+        payload = {"provenance": provenance, "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows]}
         write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         written.append(path)
     if "markdown" in formats:

@@ -65,17 +65,6 @@ def _safe_exp(x):
     return np.exp(np.minimum(x, _EXP_CAP))
 
 
-def _normal_logpdf(x, mean, variance):
-    return -0.5 * (math.log(2.0 * math.pi * variance) + (x - mean) ** 2 / variance)
-
-
-def _gamma_logpdf(x, prior: GammaParams):
-    if x <= 0:
-        return -math.inf
-    k, th = prior.shape, prior.scale
-    return (k - 1.0) * math.log(x) - x / th - math.lgamma(k) - k * math.log(th)
-
-
 def _mh_accept(rng: Rng, logr: float) -> bool:
     """Metropolis decision on a log ratio; NaN (invalid both ways) rejects."""
     if logr >= 0.0:
@@ -129,6 +118,8 @@ class ModelSpec:
         if self.kind == "linear" and self.priors.tau_eps is None:
             raise ParameterError("linear model requires a tau_eps prior")
         if self.kind == "logistic":
+            if self.priors.tau_eps is not None:
+                raise ParameterError("logistic model takes no tau_eps prior")
             if not set(np.unique(out)) <= {0.0, 1.0}:
                 raise ParameterError("logistic outcome must be 0/1")
         object.__setattr__(self, "log_w", np.log(w))
@@ -355,8 +346,7 @@ def update_logistic_coeffs(state: ChainState, spec: ModelSpec):
     prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
 
     def log_target(c0, c1):
-        lp = _normal_logpdf(c0, priors.coeff0.mean, priors.coeff0.variance)
-        lp += _normal_logpdf(c1, priors.coeff.mean, priors.coeff.variance)
+        lp = priors.coeff0.logpdf(c0) + priors.coeff.logpdf(c1)
         return lp + float(_outcome_loglik_terms(state, spec, state.l, c0, c1).sum())
 
     logr = log_target(prop0, prop1) - log_target(state.coeff0, state.coeff)
@@ -405,8 +395,7 @@ def update_mu_x_tau_x(state: ChainState, spec: ModelSpec):
 
         def log_target(a):
             dev = state.l - math.exp(min(a, _EXP_CAP))
-            log_prior = _normal_logpdf(a, priors.mu_x.log_mean, priors.mu_x.log_variance)
-            return log_prior - 0.5 * state.tau_x * float(dev @ dev)
+            return priors.mu_x.log_axis.logpdf(a) - 0.5 * state.tau_x * float(dev @ dev)
 
         logr = log_target(a_prop) - log_target(a_cur)
         accepted = _mh_accept(state.rng, logr)
@@ -449,7 +438,7 @@ def update_structural(state: ChainState, spec: ModelSpec):
 
     def log_prior_jacobian(u, tau_x, tau_e):
         log_jacobian = _softplus(u) + _softplus(-u)
-        return _gamma_logpdf(tau_x, priors.tau_x) + _gamma_logpdf(tau_e, priors.tau_e) + log_jacobian
+        return priors.tau_x.logpdf(tau_x) + priors.tau_e.logpdf(tau_e) + log_jacobian
 
     logr = (
         log_prior_jacobian(u_prop, tau_x_prop, tau_e_prop)
@@ -547,25 +536,10 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
     return state
 
 
-def _mu_x_logprior(mu_x: float, prior) -> float:
-    if isinstance(prior, LogNormalPrior):
-        return _normal_logpdf(math.log(mu_x), prior.log_mean, prior.log_variance)
-    return _normal_logpdf(mu_x, prior.mean, prior.variance)
-
-
 def _check_finite_at_init(state: ChainState, spec: ModelSpec):
     """Raise InitializationError naming the first non-finite log-posterior
     term (the logistic model is the historically fragile one)."""
-    priors = spec.priors
-    checks = [
-        ("coeff0", _normal_logpdf(state.coeff0, priors.coeff0.mean, priors.coeff0.variance)),
-        ("coeff", _normal_logpdf(state.coeff, priors.coeff.mean, priors.coeff.variance)),
-        ("mu_x", _mu_x_logprior(state.mu_x, priors.mu_x)),
-        ("tau_x", _gamma_logpdf(state.tau_x, priors.tau_x)),
-        ("tau_e", _gamma_logpdf(state.tau_e, priors.tau_e)),
-    ]
-    if spec.kind == "linear":
-        checks.append(("tau_eps", _gamma_logpdf(state.tau_eps, priors.tau_eps)))
+    checks = [(name, prior.logpdf(getattr(state, name))) for name, prior in spec.priors.items()]
     dev_e = spec.log_w - state.l
     checks.append(("latent_exposure", -0.5 * state.tau_e * float(dev_e @ dev_e)))
     dev_x = state.l - state.mu_x
@@ -677,28 +651,9 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
 def sample_prior_state(spec: ModelSpec, rng: Rng) -> ChainState:
     """Draw a complete state from the priors (latents from the population
     model); data arrays in spec are ignored except for their length."""
-    priors = spec.priors
-    coeff0 = priors.coeff0.mean + math.sqrt(priors.coeff0.variance) * rng.standard_normal()
-    coeff = priors.coeff.mean + math.sqrt(priors.coeff.variance) * rng.standard_normal()
-    if isinstance(priors.mu_x, LogNormalPrior):
-        mu_x = math.exp(priors.mu_x.log_mean + math.sqrt(priors.mu_x.log_variance) * rng.standard_normal())
-    else:
-        mu_x = priors.mu_x.mean + math.sqrt(priors.mu_x.variance) * rng.standard_normal()
-    tau_x = sample_gamma(rng, priors.tau_x)
-    tau_e = sample_gamma(rng, priors.tau_e)
-    tau_eps = sample_gamma(rng, priors.tau_eps) if spec.kind == "linear" else None
-    l = mu_x + rng.standard_normal(spec.n) / math.sqrt(tau_x)
-    return ChainState(
-        coeff0=float(coeff0),
-        coeff=float(coeff),
-        tau_eps=tau_eps,
-        mu_x=float(mu_x),
-        tau_x=float(tau_x),
-        tau_e=float(tau_e),
-        l=l,
-        rng=rng,
-        proposals=_default_proposals(spec),
-    )
+    draws = {name: prior.draw(rng) for name, prior in spec.priors.items()}
+    l = draws["mu_x"] + rng.standard_normal(spec.n) / math.sqrt(draws["tau_x"])
+    return ChainState(**{"tau_eps": None, **draws}, l=l, rng=rng, proposals=_default_proposals(spec))
 
 
 def sample_data_given_state(state: ChainState, spec: ModelSpec, rng: Rng) -> ModelSpec:

@@ -1,15 +1,17 @@
 """Prior specifications for the adjustment models.
 
-Normal priors are mean-variance; gamma priors are shape-scale. The four
+Normal priors are mean-variance; gamma priors are shape-scale. Each prior
+scores a value (``logpdf``) and draws one (``draw``). The four
 measurement-error precision priors (uninformative, then increasingly
 confident assertions of large error) are the experiment's key knob.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 
 from .errors import ParameterError
-from .rng import GammaParams
+from .rng import GammaParams, Rng
 
 __all__ = [
     "NormalPrior",
@@ -28,20 +30,36 @@ class NormalPrior:
     variance: float
 
     def __post_init__(self):
-        if not (self.variance > 0):
-            raise ParameterError(f"prior variance must be > 0, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ParameterError(f"prior mean must be finite, got {self.mean}")
+        if not (0 < self.variance < math.inf):
+            raise ParameterError(f"prior variance must be finite and > 0, got {self.variance}")
+
+    def logpdf(self, x) -> float:
+        return -0.5 * (math.log(2.0 * math.pi * self.variance) + (x - self.mean) ** 2 / self.variance)
+
+    def draw(self, rng: Rng) -> float:
+        return self.mean + math.sqrt(self.variance) * rng.standard_normal()
 
 
 @dataclass(frozen=True)
 class LogNormalPrior:
-    """Lognormal prior: log of the parameter is N(log_mean, log_variance)."""
+    """Lognormal prior: log of the parameter is ``log_axis`` =
+    N(log_mean, log_variance). ``logpdf(x)`` is the density of log x at
+    log x."""
 
     log_mean: float
     log_variance: float
+    log_axis: NormalPrior = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.log_variance > 0):
-            raise ParameterError(f"prior variance must be > 0, got {self.log_variance}")
+        object.__setattr__(self, "log_axis", NormalPrior(self.log_mean, self.log_variance))
+
+    def logpdf(self, x) -> float:
+        return self.log_axis.logpdf(math.log(x))
+
+    def draw(self, rng: Rng) -> float:
+        return math.exp(self.log_axis.draw(rng))
 
 
 # Measurement-error precision priors, in table order: mean/variance
@@ -62,7 +80,8 @@ class PriorSet:
 
     coeff0/coeff are the intercept/slope priors (beta for the linear model,
     alpha for the logistic). tau_eps is the linear residual precision and
-    must be None for the logistic model.
+    must be None for the logistic model. Field names match ``ChainState``'s,
+    and the field order is the order in which priors are checked and drawn.
     """
 
     coeff0: NormalPrior
@@ -71,6 +90,10 @@ class PriorSet:
     tau_x: GammaParams
     tau_e: GammaParams
     tau_eps: GammaParams | None = None
+
+    def items(self) -> list[tuple[str, NormalPrior | LogNormalPrior | GammaParams]]:
+        """(name, prior) of each field that holds a prior, in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if getattr(self, f.name) is not None]
 
 
 def _tau_e_prior(variant: str) -> GammaParams:
@@ -89,14 +112,10 @@ def linear_priors(variant: str = "uninformative", mu_x_normal: bool = False) -> 
     (which confines it to positive values); ``mu_x_normal`` swaps in a
     N(0, 100) prior instead.
     """
-    if mu_x_normal:
-        mu_x: NormalPrior | LogNormalPrior = NormalPrior(0.0, 100.0)
-    else:
-        mu_x = LogNormalPrior(0.0, 100.0)
     return PriorSet(
         coeff0=NormalPrior(0.0, 100.0),
         coeff=NormalPrior(0.0, 100.0),
-        mu_x=mu_x,
+        mu_x=NormalPrior(0.0, 100.0) if mu_x_normal else LogNormalPrior(0.0, 100.0),
         tau_x=GammaParams(0.01, 10.0),
         tau_e=_tau_e_prior(variant),
         tau_eps=GammaParams(0.01, 10.0),

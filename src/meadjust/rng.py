@@ -28,10 +28,9 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0):
-            raise ParameterError(f"gamma shape must be > 0, got {self.shape}")
-        if not (self.scale > 0):
-            raise ParameterError(f"gamma scale must be > 0, got {self.scale}")
+        for name, value in (("shape", self.shape), ("scale", self.scale)):
+            if not (0 < value < math.inf):
+                raise ParameterError(f"gamma {name} must be finite and > 0, got {value}")
 
     @property
     def mean(self) -> float:
@@ -40,6 +39,15 @@ class GammaParams:
     @property
     def variance(self) -> float:
         return self.shape * self.scale**2
+
+    def logpdf(self, x) -> float:
+        if x <= 0:
+            return -math.inf
+        k, th = self.shape, self.scale
+        return (k - 1.0) * math.log(x) - x / th - math.lgamma(k) - k * math.log(th)
+
+    def draw(self, rng: "Rng") -> float:
+        return sample_gamma(rng, self)
 
 
 class Rng:

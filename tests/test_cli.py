@@ -427,6 +427,21 @@ def test_evidence_json_provenance(tmp_path):
     assert payload["rows"]
 
 
+def test_evidence_json_is_strict(tmp_path):
+    """A delta beyond the float range is written as the CSV's "inf", not as
+    the non-standard constant Infinity."""
+    out_dir = tmp_path / "ev"
+    rc = main(["evidence", "--sigma-b", "1e308", "--prefixes", "10", "--p-null", "0.5", "--out-dir", str(out_dir)])
+    assert rc == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads((out_dir / "evidence.json").read_text(), parse_constant=refuse)
+    assert [row["delta"] for row in payload["rows"]] == ["inf"]
+    assert [row["delta"] for row in _read_table_csv(out_dir / "evidence.csv")] == ["inf"]
+
+
 def test_format_subset(tmp_path):
     out_dir = tmp_path / "ev"
     rc = main(["evidence", "--prefixes", "10", "--p-null", "0.5", "--format", "csv", "--out-dir", str(out_dir)])

@@ -170,6 +170,7 @@ def test_model_spec_rejects_non_finite():
         ({"w": [1.0, 2.0, 3.0]}, "equal length"),
         ({"w": [1.0, 0.0]}, "strictly positive"),
         ({"priors": logistic_priors()}, "tau_eps"),
+        ({"kind": "logistic"}, "takes no tau_eps"),
         ({"kind": "logistic", "outcome": [0.0, 2.0], "priors": logistic_priors()}, "0/1"),
     ):
         with pytest.raises(ParameterError, match=message):

@@ -173,5 +173,8 @@ def test_input_validation():
         HypothesisPriors(0.5, -1.0)
     with pytest.raises(ParameterError, match="finite"):
         ToyData([1.0], [1.0], math.inf)
+    for v, u in (([math.nan], [1.0]), ([1.0], [math.inf]), ([1.0, -math.inf], [0.0, 0.0])):
+        with pytest.raises(ParameterError, match="finite"):
+            ToyData(v, u, 1.0)
     with pytest.raises(ParameterError, match="finite"):
         HypothesisPriors(0.5, math.inf)
