@@ -1,10 +1,15 @@
-"""Seedable random generation and the distribution samplers the models need.
+"""Seedable random generation and the gamma distribution of the precisions.
 
 Streams are splittable: an ``Rng`` is identified by ``(seed, stream)`` where
 ``stream`` is a tuple of integers fed to numpy's ``SeedSequence`` spawn key.
 Two instances with the same identity produce bit-identical draws; distinct
 stream paths are statistically independent, so chains, cohort variables and
 replicates can all derive private streams from one master seed.
+
+``GammaParams`` scores (``logpdf``) and draws (``draw``) itself, like the
+normal priors in ``priors``. Gamma draws come from numpy's
+``Generator.gamma`` on the stream's generator; ``sample_gamma`` only clamps
+them away from zero.
 """
 from __future__ import annotations
 
@@ -46,7 +51,7 @@ class GammaParams:
         k, th = self.shape, self.scale
         return (k - 1.0) * math.log(x) - x / th - math.lgamma(k) - k * math.log(th)
 
-    def draw(self, rng: "Rng") -> float:
+    def draw(self, rng: Rng) -> float:
         return sample_gamma(rng, self)
 
 
@@ -89,39 +94,12 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-def _gamma_shape_ge1(rng: Rng, shape: float, n: int) -> np.ndarray:
-    """Marsaglia-Tsang rejection sampler for shape >= 1, unit scale."""
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        x = rng.standard_normal(size=todo.size)
-        v = (1.0 + c * x) ** 3
-        u = 1.0 - rng.uniform(size=todo.size)  # (0, 1], safe to log
-        ok = (v > 0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(np.where(v > 0, v, 1.0)))
-        out[todo[ok]] = d * v[ok]
-        todo = todo[~ok]
-    return out
-
-
 def sample_gamma(rng: Rng, params: GammaParams, size=None):
-    """Gamma draw(s) in shape-scale parameterization.
+    """Gamma draw(s) in shape-scale parameterization, from numpy's sampler.
 
-    Shapes below 1 (the priors use shapes down to 0.01) are handled by
-    sampling at shape+1 and applying the U^(1/shape) correction in log
-    space. At small shapes that correction can still underflow, so draws
-    are clamped to the smallest normal float: a precision is never zero.
+    At the small prior shapes (down to 0.01) a draw can underflow to zero,
+    so draws are clamped to the smallest normal float: a precision is never
+    zero.
     """
-    n = 1 if size is None else int(np.prod(size))
-    k = params.shape
-    if k >= 1.0:
-        g = _gamma_shape_ge1(rng, k, n)
-    else:
-        g = _gamma_shape_ge1(rng, k + 1.0, n)
-        u = 1.0 - rng.uniform(size=n)  # (0, 1]
-        g = np.exp(np.log(g) + np.log(u) / k)
-    g = np.maximum(params.scale * g, _TINY)
-    if size is None:
-        return float(g[0])
-    return g.reshape(size)
+    g = np.maximum(rng._gen.gamma(params.shape, params.scale, size=size), _TINY)
+    return g if size is not None else float(g)

@@ -327,10 +327,10 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, monkeypatch, capsys
 
 
 # SHA-256 of table_linear.csv then table_logistic.csv for the seed-101 desk
-# grid, recorded in BENCH_6.json under desk_grid.fingerprint_sha256["101"].
-# A change to the sampler's law changes it; such a change must update the
-# value here and say so.
-DESK_GRID_101_SHA256 = "cd3aa053654ee35dedd7822184837682c9b3e2c3af14c916b0053664aa2b2438"
+# grid, recorded in BENCH_10.json under desk_grid.fingerprint_sha256["101"].
+# A change to the sampler's law or to its use of the random stream changes
+# it; such a change must update the value here and say so.
+DESK_GRID_101_SHA256 = "8c08c0ab1987ee9a815d255bd7bdc7422c613f9987ffaf846bdbade548137cfb"
 
 
 def test_replicate_desk_grid_fingerprint(tmp_path):
