@@ -24,6 +24,16 @@ computed once, and ``covariate(l)``, the exposure the outcome model sees.
 Every block takes ``(state, spec)``, and the chain state repeats nothing
 the spec holds.
 
+The scan carries a cache from block to block and from scan to scan: the
+covariate t = covariate(l) and the per-subject outcome terms at the current
+state, so each block evaluates the outcome only at its proposal. The linear
+scan computes the terms once, after tau_eps is drawn; the logistic
+coefficients and the ridge move adopt the proposal's arrays when they
+accept, and the latent block copies the accepted subjects' entries in
+place. ``_scan`` returns the cache and ``run_chains`` hands it to the next
+scan. A block called without it builds it from the state, so a caller that
+changes the state or the spec between calls simply passes none.
+
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
 """
@@ -62,7 +72,8 @@ _EXP_CAP = 700.0  # exp argument cap; overflowing proposals reject cleanly
 
 
 def _safe_exp(x):
-    return np.exp(np.minimum(x, _EXP_CAP))
+    y = np.minimum(x, _EXP_CAP)
+    return np.exp(y, out=y)
 
 
 def _mh_accept(rng: Rng, logr: float) -> bool:
@@ -257,15 +268,14 @@ def _default_proposals(spec: ModelSpec) -> dict[str, Proposal]:
 # Likelihood pieces
 
 
-def _outcome_loglik_terms(state: ChainState, spec: ModelSpec, l, coeff0: float, coeff: float) -> np.ndarray:
-    """Per-subject outcome log likelihood at latent log exposures l and
+def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: float) -> np.ndarray:
+    """Per-subject outcome log likelihood at covariate t = covariate(l) and
     coefficients (coeff0, coeff), without the linear model's normalizing
     constant (it depends on neither).
 
-    Overflowing linear predictors propagate to -inf terms, which reject in
-    any Metropolis ratio they enter.
+    Overflowing linear predictors propagate to -inf or NaN terms, which
+    reject in any Metropolis ratio they enter.
     """
-    t = spec.covariate(l)
     with np.errstate(over="ignore"):
         eta = coeff0 + coeff * t
         if spec.kind == "linear":
@@ -273,9 +283,13 @@ def _outcome_loglik_terms(state: ChainState, spec: ModelSpec, l, coeff0: float, 
         return spec.outcome * eta - np.logaddexp(0.0, eta)
 
 
-def _outcome_at(state: ChainState, spec: ModelSpec, l) -> np.ndarray:
-    """Per-subject outcome log likelihood at l and the current coefficients."""
-    return _outcome_loglik_terms(state, spec, l, state.coeff0, state.coeff)
+def _current(state: ChainState, spec: ModelSpec, cache):
+    """The scan cache (t, outcome terms) at the current state: the one
+    carried in, or built from the state when none is."""
+    if cache is not None:
+        return cache
+    t = spec.covariate(state.l)
+    return t, _outcome_terms(state, spec, t, state.coeff0, state.coeff)
 
 
 def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float):
@@ -289,13 +303,15 @@ def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float
 # Conjugate full conditionals
 
 
-def full_conditional_coeffs_linear(state: ChainState, spec: ModelSpec):
+def full_conditional_coeffs_linear(state: ChainState, spec: ModelSpec, t=None):
     """Exact bivariate normal full conditional of the linear (intercept,
-    slope), as (mean vector, precision matrix)."""
+    slope), as (mean vector, precision matrix); t is covariate(l), computed
+    here when not given."""
     if spec.kind != "linear":
         raise ParameterError("coefficient full conditional is for the linear model")
     priors = spec.priors
-    t = spec.covariate(state.l)
+    if t is None:
+        t = spec.covariate(state.l)
     n = spec.n
     st = float(t.sum())
     stt = float(t @ t)
@@ -311,8 +327,8 @@ def full_conditional_coeffs_linear(state: ChainState, spec: ModelSpec):
     return mean, prec
 
 
-def _draw_linear_coeffs(state: ChainState, spec: ModelSpec):
-    mean, prec = full_conditional_coeffs_linear(state, spec)
+def _draw_linear_coeffs(state: ChainState, spec: ModelSpec, t):
+    mean, prec = full_conditional_coeffs_linear(state, spec, t)
     chol = np.linalg.cholesky(prec)
     z = state.rng.standard_normal(2)
     draw = mean + np.linalg.solve(chol.T, z)
@@ -338,26 +354,30 @@ def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
 # Metropolis updates
 
 
-def update_logistic_coeffs(state: ChainState, spec: ModelSpec):
+def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache=None):
     """Joint random-walk Metropolis on the logistic (intercept, slope), with
-    an adapted proposal covariance."""
+    an adapted proposal covariance. Returns the scan cache."""
+    t, terms = _current(state, spec, cache)
     priors = spec.priors
     proposal = state.proposals["coeffs"]
     prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
+    terms_prop = _outcome_terms(state, spec, t, prop0, prop1)
 
-    def log_target(c0, c1):
+    def log_target(c0, c1, outcome_terms):
         lp = priors.coeff0.logpdf(c0) + priors.coeff.logpdf(c1)
-        return lp + float(_outcome_loglik_terms(state, spec, state.l, c0, c1).sum())
+        return lp + float(outcome_terms.sum())
 
-    logr = log_target(prop0, prop1) - log_target(state.coeff0, state.coeff)
+    logr = log_target(prop0, prop1, terms_prop) - log_target(state.coeff0, state.coeff, terms)
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.coeff0, state.coeff = float(prop0), float(prop1)
+        terms = terms_prop
     proposal.record(accepted, 1)
     proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
+    return t, terms
 
 
-def update_latent_exposure(state: ChainState, spec: ModelSpec):
+def update_latent_exposure(state: ChainState, spec: ModelSpec, cache=None):
     """Independence sampler on the latent log exposures.
 
     Each subject proposes from its exact no-outcome conditional
@@ -365,14 +385,22 @@ def update_latent_exposure(state: ChainState, spec: ModelSpec):
     against the proposal, so acceptance needs only the per-subject outcome
     ratio. All subjects update in one vectorized pass (their conditionals
     are independent given the parameters). Rejections leave entries
-    unchanged.
+    unchanged, in l and in the scan cache, which is returned.
     """
+    t, terms = _current(state, spec, cache)
     m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e)
     prop = m + state.rng.standard_normal(spec.n) / math.sqrt(prec)
-    logr = _outcome_at(state, spec, prop) - _outcome_at(state, spec, state.l)
-    accept = np.log(1.0 - state.rng.uniform(size=spec.n)) < logr
-    state.l[:] = np.where(accept, prop, state.l)
+    del m
+    t_prop = spec.covariate(prop)
+    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff)
+    log_u = state.rng.uniform(size=spec.n)
+    np.log(np.subtract(1.0, log_u, out=log_u), out=log_u)  # in place: one n-array less at the peak
+    accept = log_u < terms_prop - terms
+    np.copyto(state.l, prop, where=accept)
+    np.copyto(t, t_prop, where=accept)
+    np.copyto(terms, terms_prop, where=accept)
     state.proposals["latent"].record(accept.sum(), spec.n)
+    return t, terms
 
 
 def update_mu_x_tau_x(state: ChainState, spec: ModelSpec):
@@ -411,7 +439,7 @@ def _softplus(x: float) -> float:
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def update_structural(state: ChainState, spec: ModelSpec):
+def update_structural(state: ChainState, spec: ModelSpec, cache=None):
     """Ridge move: a random-walk step in u = logit(r), r = (1/tau_e)/V.
 
     It holds mu_x, V = 1/tau_x + 1/tau_e and the standardised latents
@@ -419,7 +447,9 @@ def update_structural(state: ChainState, spec: ModelSpec):
     given (mu_x, V) and that of eps then cancel, and the log ratio is the
     gamma log priors of (tau_x, tau_e), the log-Jacobian -log r - log(1 - r)
     and the outcome log ratio at l'_i = m'_i + eps_i / sqrt(tau_e' + tau_x').
+    Returns the scan cache, the proposal's on acceptance.
     """
+    t, terms = _current(state, spec, cache)
     priors = spec.priors
     proposal = state.proposals["structural"]
     log_tau_x, log_tau_e = math.log(state.tau_x), math.log(state.tau_e)
@@ -435,6 +465,9 @@ def update_structural(state: ChainState, spec: ModelSpec):
     m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e)
     m_prop, prec_prop = _latent_conditional(spec, state.mu_x, tau_x_prop, tau_e_prop)
     l_prop = m_prop + (state.l - m) * math.sqrt(prec / prec_prop)
+    del m, m_prop
+    t_prop = spec.covariate(l_prop)
+    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff)
 
     def log_prior_jacobian(u, tau_x, tau_e):
         log_jacobian = _softplus(u) + _softplus(-u)
@@ -443,36 +476,47 @@ def update_structural(state: ChainState, spec: ModelSpec):
     logr = (
         log_prior_jacobian(u_prop, tau_x_prop, tau_e_prop)
         - log_prior_jacobian(u, state.tau_x, state.tau_e)
-        + float(_outcome_at(state, spec, l_prop).sum())
-        - float(_outcome_at(state, spec, state.l).sum())
+        + float(terms_prop.sum())
+        - float(terms.sum())
     )
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.tau_x = tau_x_prop
         state.tau_e = tau_e_prop
         state.l = l_prop
+        t, terms = t_prop, terms_prop
     proposal.record(accepted, 1)
+    return t, terms
 
 
 # ---------------------------------------------------------------------------
 # Scan, initialization, runner
 
 
-def _scan(state: ChainState, spec: ModelSpec):
-    """One full sweep in fixed order; the order is part of the kernel."""
+def _scan(state: ChainState, spec: ModelSpec, cache=None):
+    """One full sweep in fixed order; the order is part of the kernel.
+
+    ``cache`` is the (t, outcome terms) pair the previous scan returned for
+    this state and spec, or None to build it here. Returns the cache at the
+    end of the sweep.
+    """
     if spec.kind == "linear":
-        _draw_linear_coeffs(state, spec)
-        resid = spec.outcome - state.coeff0 - state.coeff * spec.covariate(state.l)
+        t = spec.covariate(state.l) if cache is None else cache[0]
+        _draw_linear_coeffs(state, spec, t)
+        resid = spec.outcome - state.coeff0 - state.coeff * t
         state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
+        del resid
+        cache = t, _outcome_terms(state, spec, t, state.coeff0, state.coeff)
     else:
-        update_logistic_coeffs(state, spec)
+        cache = update_logistic_coeffs(state, spec, cache)
     state.tau_e = _draw_precision(state, spec.log_w - state.l, spec.priors.tau_e)
     update_mu_x_tau_x(state, spec)
-    update_latent_exposure(state, spec)
-    update_structural(state, spec)
+    cache = update_latent_exposure(state, spec, cache)
+    cache = update_structural(state, spec, cache)
     state.iteration += 1
     for proposal in state.proposals.values():
         proposal.end_scan(state.iteration)
+    return cache
 
 
 _COEFF_OFFSETS = (-0.5, 0.0, 0.5)
@@ -544,7 +588,7 @@ def _check_finite_at_init(state: ChainState, spec: ModelSpec):
     checks.append(("latent_exposure", -0.5 * state.tau_e * float(dev_e @ dev_e)))
     dev_x = state.l - state.mu_x
     checks.append(("latent_exposure", -0.5 * state.tau_x * float(dev_x @ dev_x)))
-    outcome = _outcome_at(state, spec, state.l)
+    outcome = _outcome_terms(state, spec, spec.covariate(state.l), state.coeff0, state.coeff)
     checks.append(("outcome", float(outcome.sum())))
     for name, value in checks:
         if not math.isfinite(value):
@@ -630,13 +674,14 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     for c in range(mcmc.n_chains):
         rng = Rng(mcmc.seed, stream + (c,))
         state = initial_state(spec, mcmc.init_strategy, c, rng)
+        cache = None
         for _ in range(mcmc.burn_in):
-            _scan(state, spec)
+            cache = _scan(state, spec, cache)
         for proposal in state.proposals.values():
             proposal.freeze()
         rows = []
         for t in range(mcmc.keep):
-            _scan(state, spec)
+            cache = _scan(state, spec, cache)
             if (t + 1) % mcmc.thin == 0:
                 rows.append(_record(state, spec))
         chains.append({name: np.array([row[name] for row in rows]) for name in rows[0]})
