@@ -26,13 +26,16 @@ the spec holds.
 
 The scan carries a cache from block to block and from scan to scan: the
 covariate t = covariate(l) and the per-subject outcome terms at the current
-state, so each block evaluates the outcome only at its proposal. The linear
-scan computes the terms once, after tau_eps is drawn; the logistic
-coefficients and the ridge move adopt the proposal's arrays when they
-accept, and the latent block copies the accepted subjects' entries in
-place. ``_scan`` returns the cache and ``run_chains`` hands it to the next
-scan. A block called without it builds it from the state, so a caller that
-changes the state or the spec between calls simply passes none.
+state, so each block evaluates the outcome only at its proposal, and five
+spare n-arrays that every n-length intermediate (conditional means, draws,
+linear predictor, proposal terms, residuals) is written into with ``out=``.
+Accepting blocks swap the current and proposal arrays or copy the accepted
+entries in place, so a steady-state scan allocates only the latent block's
+boolean accept mask and faults in no fresh pages. The allocator is left as
+it is: a library must not tune its host process's malloc. ``_scan``
+returns the cache and ``run_chains`` hands it to the next scan. A block
+called without it builds it from the state, so a caller that changes the
+state or the spec between calls simply passes none.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -47,7 +50,7 @@ from scipy.special import expit
 
 from .cohort import Cohort, require_integers
 from .errors import InitializationError, ParameterError
-from .naive import fit_linear, fit_logistic
+from .naive import fit_linear, fit_logistic, softplus
 from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 
@@ -71,8 +74,8 @@ __all__ = [
 _EXP_CAP = 700.0  # exp argument cap; overflowing proposals reject cleanly
 
 
-def _safe_exp(x):
-    y = np.minimum(x, _EXP_CAP)
+def _safe_exp(x, out=None):
+    y = np.minimum(x, _EXP_CAP, out=out)
     return np.exp(y, out=y)
 
 
@@ -156,10 +159,12 @@ class ModelSpec:
     def n(self) -> int:
         return len(self.w)
 
-    def covariate(self, l):
-        """The exposure the outcome model sees at latent log exposures l."""
+    def covariate(self, l, out=None):
+        """The exposure the outcome model sees at latent log exposures l,
+        written into ``out`` when given; under the log transform it is l
+        itself."""
         if self.exposure_transform == "identity":
-            return _safe_exp(l)
+            return _safe_exp(l, out)
         return l
 
 
@@ -268,35 +273,86 @@ def _default_proposals(spec: ModelSpec) -> dict[str, Proposal]:
 # Likelihood pieces
 
 
-def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: float) -> np.ndarray:
+class _Spares:
+    """Spare n-arrays that blocks write their intermediates into with
+    ``out=`` and hand back when done; ``take`` allocates only when none is
+    free, so a chain allocates its arrays in its first scan and reuses them
+    from then on."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.free = []
+
+    def take(self) -> np.ndarray:
+        return self.free.pop() if self.free else np.empty(self.n)
+
+    def give(self, *arrays, held=()):
+        """Put arrays back, each once, leaving out any in ``held``."""
+        known = {id(a) for a in (*self.free, *held)}
+        for a in arrays:
+            if id(a) not in known:
+                known.add(id(a))
+                self.free.append(a)
+
+
+class _ScanCache:
+    """What a chain carries from block to block and from scan to scan: the
+    covariate t = covariate(l) and the per-subject outcome terms at the
+    current state, and the spare n-arrays."""
+
+    def __init__(self, state: ChainState, spec: ModelSpec):
+        self.spares = _Spares(spec.n)
+        self.t = spec.covariate(state.l)
+        self.terms = _outcome_terms(state, spec, self.t, state.coeff0, state.coeff, self.spares)
+
+    def release(self, state: ChainState, *arrays):
+        """Hand arrays back to the spares, except those the state or the
+        cache holds."""
+        self.spares.give(*arrays, held=(state.l, self.t, self.terms))
+
+
+def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: float, spares=None) -> np.ndarray:
     """Per-subject outcome log likelihood at covariate t = covariate(l) and
     coefficients (coeff0, coeff), without the linear model's normalizing
-    constant (it depends on neither).
+    constant (it depends on neither). The result and the intermediates go
+    into arrays taken from ``spares``; the intermediates go back.
 
-    Overflowing linear predictors propagate to -inf or NaN terms, which
-    reject in any Metropolis ratio they enter.
+    Overflowing linear predictors propagate, without a numpy warning, to
+    -inf or NaN terms, which reject in any Metropolis ratio they enter.
     """
-    with np.errstate(over="ignore"):
-        eta = coeff0 + coeff * t
+    if spares is None:
+        spares = _Spares(len(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.multiply(coeff, t, out=spares.take())
+        eta += coeff0
         if spec.kind == "linear":
-            return -0.5 * state.tau_eps * (spec.outcome - eta) ** 2
-        return spec.outcome * eta - np.logaddexp(0.0, eta)
+            np.subtract(spec.outcome, eta, out=eta)
+            np.square(eta, out=eta)
+            eta *= -0.5 * state.tau_eps
+            return eta
+        work = spares.take()
+        terms = softplus(eta, out=spares.take(), work=work)
+        np.multiply(spec.outcome, eta, out=eta)
+        np.subtract(eta, terms, out=terms)
+    spares.give(eta, work)
+    return terms
 
 
-def _current(state: ChainState, spec: ModelSpec, cache):
-    """The scan cache (t, outcome terms) at the current state: the one
-    carried in, or built from the state when none is."""
-    if cache is not None:
-        return cache
-    t = spec.covariate(state.l)
-    return t, _outcome_terms(state, spec, t, state.coeff0, state.coeff)
+def _current(state: ChainState, spec: ModelSpec, cache) -> _ScanCache:
+    """The scan cache at the current state: the one carried in, or built
+    from the state when none is."""
+    return cache if cache is not None else _ScanCache(state, spec)
 
 
-def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float):
-    """Mean m_i and precision tau_e + tau_x of each latent log exposure
-    given the measurement and population models, without the outcome."""
+def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float, out):
+    """Mean m_i, written into ``out``, and precision tau_e + tau_x of each
+    latent log exposure given the measurement and population models,
+    without the outcome."""
     prec = tau_e + tau_x
-    return (tau_e * spec.log_w + tau_x * mu_x) / prec, prec
+    m = np.multiply(tau_e, spec.log_w, out=out)
+    m += tau_x * mu_x
+    m /= prec
+    return m, prec
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +413,26 @@ def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
 def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache=None):
     """Joint random-walk Metropolis on the logistic (intercept, slope), with
     an adapted proposal covariance. Returns the scan cache."""
-    t, terms = _current(state, spec, cache)
+    cache = _current(state, spec, cache)
     priors = spec.priors
     proposal = state.proposals["coeffs"]
     prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
-    terms_prop = _outcome_terms(state, spec, t, prop0, prop1)
+    terms_prop = _outcome_terms(state, spec, cache.t, prop0, prop1, cache.spares)
 
     def log_target(c0, c1, outcome_terms):
         lp = priors.coeff0.logpdf(c0) + priors.coeff.logpdf(c1)
-        return lp + float(outcome_terms.sum())
+        with np.errstate(over="ignore"):
+            return lp + float(outcome_terms.sum())
 
-    logr = log_target(prop0, prop1, terms_prop) - log_target(state.coeff0, state.coeff, terms)
+    logr = log_target(prop0, prop1, terms_prop) - log_target(state.coeff0, state.coeff, cache.terms)
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.coeff0, state.coeff = float(prop0), float(prop1)
-        terms = terms_prop
+        cache.terms, terms_prop = terms_prop, cache.terms
+    cache.spares.give(terms_prop)
     proposal.record(accepted, 1)
     proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
-    return t, terms
+    return cache
 
 
 def update_latent_exposure(state: ChainState, spec: ModelSpec, cache=None):
@@ -387,28 +445,41 @@ def update_latent_exposure(state: ChainState, spec: ModelSpec, cache=None):
     are independent given the parameters). Rejections leave entries
     unchanged, in l and in the scan cache, which is returned.
     """
-    t, terms = _current(state, spec, cache)
-    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e)
-    prop = m + state.rng.standard_normal(spec.n) / math.sqrt(prec)
-    del m
-    t_prop = spec.covariate(prop)
-    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff)
-    log_u = state.rng.uniform(size=spec.n)
-    np.log(np.subtract(1.0, log_u, out=log_u), out=log_u)  # in place: one n-array less at the peak
-    accept = log_u < terms_prop - terms
+    cache = _current(state, spec, cache)
+    spares = cache.spares
+    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, spares.take())
+    prop = state.rng.standard_normal(out=spares.take())
+    prop /= math.sqrt(prec)
+    prop += m
+    t_prop = spec.covariate(prop, out=m)
+    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff, spares)
+    log_u = state.rng.uniform(out=spares.take())
+    np.log(np.subtract(1.0, log_u, out=log_u), out=log_u)
+    diff = np.subtract(terms_prop, cache.terms, out=spares.take())
+    accept = log_u < diff
     np.copyto(state.l, prop, where=accept)
-    np.copyto(t, t_prop, where=accept)
-    np.copyto(terms, terms_prop, where=accept)
-    state.proposals["latent"].record(accept.sum(), spec.n)
-    return t, terms
+    np.copyto(cache.t, t_prop, where=accept)
+    np.copyto(cache.terms, terms_prop, where=accept)
+    state.proposals["latent"].record(np.count_nonzero(accept), spec.n)
+    cache.release(state, m, prop, terms_prop, log_u, diff)
+    return cache
 
 
-def update_mu_x_tau_x(state: ChainState, spec: ModelSpec):
+def _population_log_ratio(n: int, l_sum: float, tau_x: float, mu: float, mu_prop: float) -> float:
+    """Change in the population log density sum_i -tau_x (l_i - mu)^2 / 2
+    when mu moves to mu_prop, in O(1) from n and sum(l): the difference of
+    the two sums of squares is (mu' - mu)(n (mu' + mu) - 2 sum(l)). A mu
+    that overflows gives -inf or NaN, which rejects."""
+    return -0.5 * tau_x * (mu_prop - mu) * (n * (mu_prop + mu) - 2.0 * l_sum)
+
+
+def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache=None):
     """Exposure-population update: location then precision.
 
     The location is a conjugate normal draw under a normal prior and a
     random-walk Metropolis step on the log axis under the lognormal prior;
-    the precision is a conjugate gamma draw on the centered residuals.
+    the precision is a conjugate gamma draw on the centered residuals,
+    written into a spare array of ``cache`` when one is given.
     """
     priors = spec.priors
     n = spec.n
@@ -420,18 +491,18 @@ def update_mu_x_tau_x(state: ChainState, spec: ModelSpec):
     else:  # lognormal prior: a random walk in a = log mu_x, where the prior is normal
         a_cur = math.log(state.mu_x)
         a_prop = a_cur + state.proposals["mu_x"].scale * state.rng.standard_normal()
-
-        def log_target(a):
-            dev = state.l - math.exp(min(a, _EXP_CAP))
-            return priors.mu_x.log_axis.logpdf(a) - 0.5 * state.tau_x * float(dev @ dev)
-
-        logr = log_target(a_prop) - log_target(a_cur)
+        mu_cur, mu_prop = math.exp(min(a_cur, _EXP_CAP)), math.exp(min(a_prop, _EXP_CAP))
+        log_prior = priors.mu_x.log_axis.logpdf
+        logr = log_prior(a_prop) - log_prior(a_cur) + _population_log_ratio(n, l_sum, state.tau_x, mu_cur, mu_prop)
         accepted = _mh_accept(state.rng, logr)
         if accepted:
-            state.mu_x = math.exp(min(a_prop, _EXP_CAP))
+            state.mu_x = mu_prop
         state.proposals["mu_x"].record(accepted, 1)
 
-    state.tau_x = _draw_precision(state, state.l - state.mu_x, priors.tau_x)
+    spares = cache.spares if cache is not None else _Spares(n)
+    resid = np.subtract(state.l, state.mu_x, out=spares.take())
+    state.tau_x = _draw_precision(state, resid, priors.tau_x)
+    spares.give(resid)
 
 
 def _softplus(x: float) -> float:
@@ -447,9 +518,10 @@ def update_structural(state: ChainState, spec: ModelSpec, cache=None):
     given (mu_x, V) and that of eps then cancel, and the log ratio is the
     gamma log priors of (tau_x, tau_e), the log-Jacobian -log r - log(1 - r)
     and the outcome log ratio at l'_i = m'_i + eps_i / sqrt(tau_e' + tau_x').
-    Returns the scan cache, the proposal's on acceptance.
+    On acceptance the proposal's l', t' and terms become the current ones
+    and the old arrays become spares. Returns the scan cache.
     """
-    t, terms = _current(state, spec, cache)
+    cache = _current(state, spec, cache)
     priors = spec.priors
     proposal = state.proposals["structural"]
     log_tau_x, log_tau_e = math.log(state.tau_x), math.log(state.tau_e)
@@ -462,31 +534,37 @@ def update_structural(state: ChainState, spec: ModelSpec, cache=None):
     tau_x_prop = math.exp(min(_softplus(u_prop) - log_v, _EXP_CAP))
     tau_e_prop = math.exp(min(_softplus(-u_prop) - log_v, _EXP_CAP))
 
-    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e)
-    m_prop, prec_prop = _latent_conditional(spec, state.mu_x, tau_x_prop, tau_e_prop)
-    l_prop = m_prop + (state.l - m) * math.sqrt(prec / prec_prop)
-    del m, m_prop
-    t_prop = spec.covariate(l_prop)
-    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff)
+    spares = cache.spares
+    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, spares.take())
+    l_prop, prec_prop = _latent_conditional(spec, state.mu_x, tau_x_prop, tau_e_prop, spares.take())
+    np.subtract(state.l, m, out=m)
+    m *= math.sqrt(prec / prec_prop)
+    l_prop += m
+    t_prop = spec.covariate(l_prop, out=m)
+    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff, spares)
 
     def log_prior_jacobian(u, tau_x, tau_e):
         log_jacobian = _softplus(u) + _softplus(-u)
         return priors.tau_x.logpdf(tau_x) + priors.tau_e.logpdf(tau_e) + log_jacobian
 
+    with np.errstate(over="ignore"):
+        sum_prop, sum_cur = float(terms_prop.sum()), float(cache.terms.sum())
     logr = (
         log_prior_jacobian(u_prop, tau_x_prop, tau_e_prop)
         - log_prior_jacobian(u, state.tau_x, state.tau_e)
-        + float(terms_prop.sum())
-        - float(terms.sum())
+        + sum_prop
+        - sum_cur
     )
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.tau_x = tau_x_prop
         state.tau_e = tau_e_prop
-        state.l = l_prop
-        t, terms = t_prop, terms_prop
+        old = state.l, cache.t, cache.terms
+        state.l, cache.t, cache.terms = l_prop, t_prop, terms_prop
+        l_prop, t_prop, terms_prop = old
     proposal.record(accepted, 1)
-    return t, terms
+    cache.release(state, m, l_prop, t_prop, terms_prop)
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +574,28 @@ def update_structural(state: ChainState, spec: ModelSpec, cache=None):
 def _scan(state: ChainState, spec: ModelSpec, cache=None):
     """One full sweep in fixed order; the order is part of the kernel.
 
-    ``cache`` is the (t, outcome terms) pair the previous scan returned for
-    this state and spec, or None to build it here. Returns the cache at the
-    end of the sweep.
+    ``cache`` is the scan cache the previous scan returned for this state
+    and spec, or None to build it here. Returns the cache at the end of the
+    sweep.
     """
+    cache = _current(state, spec, cache)
+    spares = cache.spares
     if spec.kind == "linear":
-        t = spec.covariate(state.l) if cache is None else cache[0]
-        _draw_linear_coeffs(state, spec, t)
-        resid = spec.outcome - state.coeff0 - state.coeff * t
+        _draw_linear_coeffs(state, spec, cache.t)
+        resid, fitted = spares.take(), spares.take()
+        np.subtract(spec.outcome, state.coeff0, out=resid)
+        resid -= np.multiply(state.coeff, cache.t, out=fitted)
         state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
-        del resid
-        cache = t, _outcome_terms(state, spec, t, state.coeff0, state.coeff)
+        # the old terms go back before the new ones are taken, so the new
+        # terms land in an array the chain already has
+        spares.give(resid, fitted, cache.terms)
+        cache.terms = _outcome_terms(state, spec, cache.t, state.coeff0, state.coeff, spares)
     else:
         cache = update_logistic_coeffs(state, spec, cache)
-    state.tau_e = _draw_precision(state, spec.log_w - state.l, spec.priors.tau_e)
-    update_mu_x_tau_x(state, spec)
+    resid = np.subtract(spec.log_w, state.l, out=spares.take())
+    state.tau_e = _draw_precision(state, resid, spec.priors.tau_e)
+    spares.give(resid)
+    update_mu_x_tau_x(state, spec, cache)
     cache = update_latent_exposure(state, spec, cache)
     cache = update_structural(state, spec, cache)
     state.iteration += 1
@@ -661,6 +746,25 @@ class PosteriorSamples:
         return np.concatenate(self.chain_arrays(name))
 
 
+def _run_chain(spec: ModelSpec, mcmc: McmcConfig, chain_index: int, rng: Rng):
+    """One chain's retained draws, as parameter arrays, and the acceptance
+    rate of each Metropolis block. Its state and scan cache are freed when
+    it returns, before the next chain builds its own."""
+    state = initial_state(spec, mcmc.init_strategy, chain_index, rng)
+    cache = None
+    for _ in range(mcmc.burn_in):
+        cache = _scan(state, spec, cache)
+    for proposal in state.proposals.values():
+        proposal.freeze()
+    rows = []
+    for t in range(mcmc.keep):
+        cache = _scan(state, spec, cache)
+        if (t + 1) % mcmc.thin == 0:
+            rows.append(_record(state, spec))
+    draws = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return draws, {block: proposal.rate for block, proposal in state.proposals.items()}
+
+
 def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) -> PosteriorSamples:
     """Run the configured chains sequentially and collect retained draws.
 
@@ -672,20 +776,9 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     chains = []
     rates = []
     for c in range(mcmc.n_chains):
-        rng = Rng(mcmc.seed, stream + (c,))
-        state = initial_state(spec, mcmc.init_strategy, c, rng)
-        cache = None
-        for _ in range(mcmc.burn_in):
-            cache = _scan(state, spec, cache)
-        for proposal in state.proposals.values():
-            proposal.freeze()
-        rows = []
-        for t in range(mcmc.keep):
-            cache = _scan(state, spec, cache)
-            if (t + 1) % mcmc.thin == 0:
-                rows.append(_record(state, spec))
-        chains.append({name: np.array([row[name] for row in rows]) for name in rows[0]})
-        rates.append({block: proposal.rate for block, proposal in state.proposals.items()})
+        draws, rate = _run_chain(spec, mcmc, c, Rng(mcmc.seed, stream + (c,)))
+        chains.append(draws)
+        rates.append(rate)
     return PosteriorSamples(chains=chains, acceptance_rates=rates)
 
 

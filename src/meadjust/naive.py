@@ -77,9 +77,27 @@ _MAX_ITER = 100  # Newton steps before giving up (converged=False)
 _SCORE_TOL = 1e-8  # score norm below which the fit has converged
 
 
+def softplus(x, out=None, work=None):
+    """log(1 + e^x) elementwise, as max(x, 0) + log1p(e^-|x|).
+
+    That is the branch numpy's ``logaddexp(0, x)`` takes, with the same
+    values at +-inf, NaN and +-0, but built from ufuncs that run in SIMD
+    loops, where ``logaddexp`` calls libm one element at a time; elsewhere
+    the two agree to 2 ULP. ``out`` and ``work`` are optional arrays shaped
+    like x to write the result and the intermediate max(x, 0) into; x is
+    left as it is.
+    """
+    out = np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0, out=work)
+    return out
+
+
 def _logistic_loglik(eta, z):
-    # sum z*eta - log(1 + exp(eta)), stable for |eta| up to ~700
-    return float(z @ eta - np.logaddexp(0.0, eta).sum())
+    # sum z*eta - log(1 + exp(eta)), without overflow
+    return float(z @ eta - softplus(eta).sum())
 
 
 def fit_logistic(w, z) -> FitResult:

@@ -83,12 +83,13 @@ class Rng:
 
     # Raw primitives --------------------------------------------------------
 
-    def uniform(self, size=None):
-        """Uniform draw(s) on [0, 1)."""
-        return self._gen.random(size=size)
+    def uniform(self, size=None, out=None):
+        """Uniform draw(s) on [0, 1); ``out`` receives the same draws as a
+        fresh array would."""
+        return self._gen.random(size=size, out=out)
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size=size)
+    def standard_normal(self, size=None, out=None):
+        return self._gen.standard_normal(size=size, out=out)
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"

@@ -211,3 +211,31 @@ def test_mu_lognormal_prior_washout_matches_normal():
         results[type(prior).__name__] = np.mean(mus)
     assert abs(results["NormalPrior"] - 0.3) < 0.02
     assert abs(results["LogNormalPrior"] - results["NormalPrior"]) < 0.02
+
+
+def test_population_log_ratio_matches_the_sum_of_squares():
+    """The O(1) change in the population log density when mu_x moves equals
+    the O(n) difference of the two sums of squares, on random states."""
+    gen = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(gen.integers(2, 5000))
+        l = gen.normal(gen.normal(0.0, 3.0), gen.uniform(0.1, 3.0), size=n)
+        tau_x = gen.gamma(2.0, 1.0)
+        mu = math.exp(gen.normal(0.0, 1.5))
+        mu_prop = mu * math.exp(0.5 * gen.normal())
+        dev, dev_prop = l - mu, l - mu_prop
+        ref = -0.5 * tau_x * (float(dev_prop @ dev_prop) - float(dev @ dev))
+        got = mcmc._population_log_ratio(n, float(l.sum()), tau_x, mu, mu_prop)
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def test_population_log_ratio_overflow_rejects():
+    """A location at the exp cap overflows the closed form: the log ratio is
+    -inf (from a finite location) or NaN (from the cap itself), and the
+    Metropolis decision rejects it."""
+    l = np.random.default_rng(67).normal(size=100_000)
+    cap = math.exp(mcmc._EXP_CAP)
+    for mu, mu_prop in ((1.0, cap), (cap, cap)):
+        logr = mcmc._population_log_ratio(len(l), float(l.sum()), 1.0, mu, mu_prop)
+        assert logr == -math.inf or math.isnan(logr)
+        assert not mcmc._mh_accept(Rng(0), logr)

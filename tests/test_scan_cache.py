@@ -4,6 +4,7 @@ every draw unchanged, and the cache must equal a fresh evaluation after
 every block that moves the state."""
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -65,10 +66,9 @@ def test_draws_pinned_off_the_desk_grid(config):
 
 
 def _assert_cache_is_fresh(state, spec, cache):
-    t, terms = cache
     fresh_t = spec.covariate(state.l)
-    assert np.array_equal(t, fresh_t)
-    assert np.array_equal(terms, mcmc._outcome_terms(state, spec, fresh_t, state.coeff0, state.coeff))
+    assert np.array_equal(cache.t, fresh_t)
+    assert np.array_equal(cache.terms, mcmc._outcome_terms(state, spec, fresh_t, state.coeff0, state.coeff))
 
 
 @pytest.mark.parametrize("mu_x_family", ["lognormal", "normal"])
@@ -98,12 +98,13 @@ def test_carried_cache_equals_a_fresh_evaluation(kind, transform, mu_x_family):
         assert 0 < proposal.accepted < proposal.attempts, block
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_saturated_identity_predictor_at_full_scale(monkeypatch):
     """Latents at and beyond the exp cap under the identity transform, at
     n=100 000: the covariate saturates at exp(_EXP_CAP), about 1e304, so a
     slope proposal of order 1e4 overflows the linear predictor. Such
-    proposals reject, the draws stay finite, and the carried terms equal a
-    fresh evaluation."""
+    proposals reject without a numpy warning, the draws stay finite, and
+    the carried terms equal a fresh evaluation."""
     n = 100_000
     gen = np.random.default_rng(41)
     log_w = gen.uniform(mcmc._EXP_CAP - 1.0, mcmc._EXP_CAP + 5.0, size=n)
@@ -127,11 +128,11 @@ def test_saturated_identity_predictor_at_full_scale(monkeypatch):
     outcome_terms = mcmc._outcome_terms
     overflowed = []
 
-    def recording(state, spec, t, coeff0, coeff):
+    def recording(state, spec, t, coeff0, coeff, *spares):
         with np.errstate(over="ignore"):
             if not np.isfinite(coeff0 + coeff * t).all():
                 overflowed.append((float(coeff0), float(coeff)))
-        return outcome_terms(state, spec, t, coeff0, coeff)
+        return outcome_terms(state, spec, t, coeff0, coeff, *spares)
 
     monkeypatch.setattr(mcmc, "_outcome_terms", recording)
     cache = None
@@ -140,8 +141,47 @@ def test_saturated_identity_predictor_at_full_scale(monkeypatch):
         assert all(math.isfinite(v) for v in (state.coeff0, state.coeff, state.mu_x, state.tau_x, state.tau_e))
         assert np.isfinite(state.l).all()
         assert (state.coeff0, state.coeff) not in overflowed
-        assert np.isfinite(cache[1]).all()
+        assert np.isfinite(cache.terms).all()
         _assert_cache_is_fresh(state, spec, cache)
     assert overflowed
     assert (state.l > mcmc._EXP_CAP).any()
     assert state.proposals["latent"].accepted > 0
+
+
+# A chain holds l, t and the outcome terms, and its cache five spare
+# n-arrays: the most any block writes its intermediates into at once (the
+# latent block: the conditional mean, the proposal, the linear predictor,
+# the softplus work array and the proposal terms; then the uniforms and the
+# terms difference). A steady-state scan allocates only the latent block's
+# boolean accept mask, n bytes. So the design puts the peak at
+# 3 + 5 + 1/8 n-arrays, and a scan's own allocations at 1/8; each bound
+# below adds 1/8 for small Python objects.
+PEAK_N_ARRAYS = 8.25
+SCAN_N_ARRAYS = 0.25
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+def test_steady_state_scan_heap(kind):
+    """tracemalloc peak of one steady-state scan at n=20 000, counted in
+    n-arrays of float64 from before the chain is built: the carried arrays
+    stay within the design's count, and the scan allocates no n-array of
+    its own."""
+    n = 20_000
+    cohort = simulate_cohort(CohortConfig(n=n, seed=53))
+    priors = linear_priors("typeB") if kind == "linear" else logistic_priors("typeB")
+    spec = ModelSpec.from_cohort(cohort, kind, priors)
+    n_array = 8 * n
+    tracemalloc.start()
+    try:
+        state = mcmc.initial_state(spec, "paper_replication", 0, Rng(59))
+        cache = None
+        for _ in range(3):
+            cache = mcmc._scan(state, spec, cache)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        cache = mcmc._scan(state, spec, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_array <= PEAK_N_ARRAYS
+    assert (peak - before) / n_array <= SCAN_N_ARRAYS
