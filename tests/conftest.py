@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from meadjust import CohortConfig, simulate_cohort
@@ -17,3 +19,13 @@ def geweke_results():
     from geweke_harness import run_all_configs
 
     return run_all_configs()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a non-daemon thread running, such as a chain
+    pool not shut down on an error path."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
+    assert not leaked, f"threads left running: {leaked}"

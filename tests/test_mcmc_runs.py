@@ -1,6 +1,11 @@
-"""End-to-end chain-runner behavior: determinism, bookkeeping, degenerate
-reductions, and initialization failure reporting."""
+"""End-to-end chain-runner behavior: determinism on the sequential and the
+threaded path, bookkeeping, degenerate reductions, initialization failure
+reporting, and stopping every chain when one fails."""
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -61,7 +66,10 @@ def test_mcmc_config_validation():
     assert McmcConfig(keep=1000, thin=10).n_retained == 100
 
 
-def test_run_chains_bit_reproducible():
+@pytest.mark.parametrize("threaded", [False, True], ids=["sequential", "threaded"])
+def test_run_chains_bit_reproducible(threaded, monkeypatch):
+    if threaded:
+        monkeypatch.setattr(mcmc, "_THREADED_MIN_N", 0)
     cohort = simulate_cohort(CohortConfig(n=150, seed=1))
     spec = ModelSpec.from_cohort(cohort, "linear", linear_priors("typeA"))
     cfg = McmcConfig(n_chains=2, burn_in=100, keep=400, thin=4, seed=9)
@@ -159,6 +167,116 @@ def test_initialization_error_names_parameter():
     cfg = McmcConfig(n_chains=1, burn_in=10, keep=10, thin=1, seed=0)
     with pytest.raises(InitializationError, match="outcome"):
         run_chains(spec, cfg)
+
+
+def test_initialization_failure_precedes_every_scan(monkeypatch):
+    """With the chains on threads, every starting state is still built
+    before any chain scans, so a failing start raises before the first
+    scan of any chain."""
+    monkeypatch.setattr(mcmc, "_THREADED_MIN_N", 0)
+    cohort = simulate_cohort(CohortConfig(n=50, seed=6))
+    huge_w = cohort.w_obs.copy()
+    huge_w[0] = 1e200
+    spec = ModelSpec(kind="linear", w=huge_w, outcome=cohort.y, priors=linear_priors())
+    scans = []
+    scan = mcmc._scan
+
+    def counting_scan(state, spec, cache=None):
+        scans.append(state.rng.stream)
+        return scan(state, spec, cache)
+
+    monkeypatch.setattr(mcmc, "_scan", counting_scan)
+    with pytest.raises(InitializationError, match="outcome"):
+        run_chains(spec, McmcConfig(n_chains=3, burn_in=10, keep=10, thin=1, seed=0))
+    assert scans == []
+
+
+def test_chain_failure_stops_every_chain(monkeypatch):
+    """An exception in chain 1, on a pool thread, at its third scan reaches
+    the caller as it was raised, and chain 0, on the calling thread, stops
+    within a few scans instead of running its 20 000 (or before its first,
+    when chain 1 fails first)."""
+    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: n_chains)
+    cohort = simulate_cohort(CohortConfig(n=50, seed=10))
+    spec = ModelSpec.from_cohort(cohort, "linear", linear_priors())
+    cfg = McmcConfig(n_chains=2, burn_in=0, keep=20_000, thin=1000, seed=1)
+    scans = {0: 0, 1: 0}
+    threads = {}
+    raised = []
+    scan = mcmc._scan
+
+    def failing_scan(state, spec, cache=None):
+        chain = state.rng.stream[-1]
+        scans[chain] += 1
+        threads[chain] = threading.get_ident()
+        if chain == 1 and scans[1] == 3:
+            raised.append(RuntimeError("chain 1 fails at scan 3"))
+            raise raised[0]
+        return scan(state, spec, cache)
+
+    monkeypatch.setattr(mcmc, "_scan", failing_scan)
+    with pytest.raises(RuntimeError, match="chain 1 fails at scan 3") as excinfo:
+        run_chains(spec, cfg)
+    assert excinfo.value is raised[0]
+    assert threads[1] != threading.get_ident()
+    assert scans[0] < cfg.keep // 10
+
+
+_BLAS_PROBE = """
+import hashlib
+from meadjust import CohortConfig, McmcConfig, ModelSpec, run_chains, simulate_cohort
+from meadjust.experiment import priors_for
+cohort = simulate_cohort(CohortConfig(n=30_000, seed=61))
+digest = hashlib.sha256()
+for k, kind in enumerate(("linear", "logistic")):
+    spec = ModelSpec.from_cohort(cohort, kind, priors_for(kind, "typeB"))
+    samples = run_chains(spec, McmcConfig(n_chains=2, burn_in=10, keep=20, thin=1, seed=67), stream=(k,))
+    for chain in samples.chains:
+        for draws in chain.values():
+            digest.update(draws.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_draws_do_not_depend_on_blas_threads():
+    """Draws at n=30 000, where a plain BLAS dot product of two n-arrays
+    runs on as many threads as BLAS is given and sums in another order, are
+    the same with one BLAS thread and with two. On a machine with one CPU
+    BLAS runs one thread either way, and the test passes trivially."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcmc.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True, timeout=600
+        )
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+def test_dot_is_plain_blas_up_to_a_slice():
+    """_dot is exactly a @ b up to _DOT_SLICE elements, and a dot product
+    to rounding beyond."""
+    gen = np.random.default_rng(79)
+    for n in (0, 1, 1000, mcmc._DOT_SLICE, mcmc._DOT_SLICE + 1, 30_000):
+        a, b = gen.normal(size=n), gen.normal(size=n)
+        if n <= mcmc._DOT_SLICE:
+            assert mcmc._dot(a, b) == float(a @ b)
+        assert abs(mcmc._dot(a, b) - math.fsum(a * b)) <= 1e-12 * float(np.abs(a * b).sum())
+
+
+def test_chain_workers_follow_the_cohort_size(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert mcmc._chain_workers(mcmc._THREADED_MIN_N - 1, 3) == 1
+    assert mcmc._chain_workers(mcmc._THREADED_MIN_N, 3) == 2
+    assert mcmc._chain_workers(mcmc._THREADED_MIN_N, 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert mcmc._chain_workers(10 * mcmc._THREADED_MIN_N, 3) == 1
 
 
 def test_spec_hides_true_exposure():

@@ -239,3 +239,25 @@ def test_population_log_ratio_overflow_rejects():
         logr = mcmc._population_log_ratio(len(l), float(l.sum()), 1.0, mu, mu_prop)
         assert logr == -math.inf or math.isnan(logr)
         assert not mcmc._mh_accept(Rng(0), logr)
+
+
+def test_mu_x_walk_never_underflows_to_zero():
+    """A lognormal mu_x prior wide enough that the log-axis walk steps below
+    a = -745, where exp(a) underflows to 0: such steps reject, so mu_x stays
+    positive and the next step can take its log."""
+    w = np.random.default_rng(71).lognormal(size=1000)
+    priors = PriorSet(
+        coeff0=NormalPrior(0.0, 100.0),
+        coeff=NormalPrior(0.0, 100.0),
+        mu_x=LogNormalPrior(0.0, 1e6),
+        tau_x=GammaParams(1.0, 1.0),
+        tau_e=GammaParams(1.0, 1.0),
+        tau_eps=GammaParams(1.0, 1.0),
+    )
+    spec = _linear_spec(w, np.zeros(1000), priors=priors)
+    state = _state(spec, rng_seed=73)
+    state.proposals["mu_x"].scale = 2000.0
+    for _ in range(50):
+        update_mu_x_tau_x(state, spec)
+        assert state.mu_x > 0.0
+    assert state.proposals["mu_x"].accepted > 0

@@ -60,8 +60,16 @@ PINNED_DRAWS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("config", sorted(PINNED_DRAWS_SHA256))
-def test_draws_pinned_off_the_desk_grid(config):
+@pytest.mark.parametrize(
+    "config, threaded",
+    [pytest.param(config, False, id=config) for config in sorted(PINNED_DRAWS_SHA256)]
+    + [pytest.param(config, True, id=f"{config}-threaded") for config in sorted(PINNED_DRAWS_SHA256)],
+)
+def test_draws_pinned_off_the_desk_grid(config, threaded, monkeypatch):
+    """The pins hold on the sequential path and, with the chains on threads
+    from the first subject, on the threaded one."""
+    if threaded:
+        monkeypatch.setattr(mcmc, "_THREADED_MIN_N", 0)
     assert _draws_sha256(_pinned_runs(config)) == PINNED_DRAWS_SHA256[config]
 
 
