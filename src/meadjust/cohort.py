@@ -5,6 +5,13 @@ W = X * e with lognormal error e, a continuous outcome Y and a binary
 outcome Z. Under the null configuration (zero slopes) the outcomes are
 independent of exposure; positive-control slopes act on log X, where the
 error is additive and the attenuation factor has a closed form.
+
+Cohorts travel between commands as CSV files. ``write_cohort`` formats
+rows in blocks, one string per block. ``read_cohort`` hands a canonical
+file (an optional provenance line, the header, data rows) to numpy's C
+parser and checks the values on whole arrays; anything else, or anything
+that parser or those checks refuse, goes to a per-line reader, which
+defines the format and names the line of every error.
 """
 from __future__ import annotations
 
@@ -138,6 +145,13 @@ def simulate_cohort(config: CohortConfig) -> Cohort:
 
 _HEADER = ["x_true", "w_obs", "y", "z"]
 _PROVENANCE_PREFIX = "# meadjust-cohort "
+_WRITE_BLOCK = 4096  # rows that write_cohort formats into one string
+# one data row as the fast reader parses it: z as an integer, never a float
+_ROW_DTYPE = np.dtype([("x_true", "f8"), ("w_obs", "f8"), ("y", "f8"), ("z", "i8")])
+_READ_BLOCK = 1 << 16  # characters of whole lines the fast reader takes at a time
+# the ASCII file, group, record and unit separators: whitespace around a
+# number to numpy's parser (Py_UNICODE_ISSPACE), an error to float() and int()
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def write_atomic(path, chunks) -> None:
@@ -151,29 +165,112 @@ def write_atomic(path, chunks) -> None:
     os.replace(tmp, path)
 
 
+def _row_blocks(cohort: Cohort):
+    """The cohort's CRLF-terminated rows, one string per block of
+    ``_WRITE_BLOCK`` rows."""
+    columns = (cohort.x_true, cohort.w_obs, cohort.y, cohort.z)
+    for start in range(0, len(cohort), _WRITE_BLOCK):
+        rows = zip(*(column[start : start + _WRITE_BLOCK].tolist() for column in columns))
+        yield "".join([f"{x!r},{w!r},{y!r},{z}\r\n" for x, w, y, z in rows])
+
+
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort CSV at full round-trip precision, atomically.
 
     The config (when known) is embedded as a '#'-prefixed JSON provenance
     line (LF-terminated) ahead of the header so a read can restore it; the
-    header and the rows end in CRLF. Rows are streamed, never held as one
-    string.
+    header and the rows end in CRLF. Rows are formatted and written in
+    blocks of ``_WRITE_BLOCK``, one string per block, so the memory a write
+    takes does not grow with the cohort.
     """
     head = ",".join(_HEADER) + "\r\n"
     if cohort.config is not None:
         head = _PROVENANCE_PREFIX + json.dumps(dataclasses.asdict(cohort.config)) + "\n" + head
-    columns = (cohort.x_true.tolist(), cohort.w_obs.tolist(), cohort.y.tolist(), cohort.z.tolist())
-    rows = (f"{x!r},{w!r},{y!r},{z}\r\n" for x, w, y, z in zip(*columns))
-    write_atomic(path, itertools.chain([head], rows))
+    write_atomic(path, itertools.chain([head], _row_blocks(cohort)))
+
+
+def _open_text(path):
+    # bytes that are not UTF-8 decode to lone surrogates, so the error can
+    # name its line
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _parse_provenance(line: str, lineno: int) -> CohortConfig:
+    try:
+        return CohortConfig(**json.loads(line[len(_PROVENANCE_PREFIX):]))
+    except (json.JSONDecodeError, TypeError, ParameterError) as exc:
+        raise CohortParseError(f"bad provenance block: {exc}", lineno) from exc
 
 
 def read_cohort(path) -> Cohort:
-    """Read a cohort CSV; raises CohortParseError naming the bad line."""
+    """Read a cohort CSV; raises CohortParseError naming the bad line.
+
+    Two readers share the work. The fast one takes a canonical file: an
+    optional provenance line, the header, then data rows, which numpy's C
+    parser reads into arrays whose values are then checked as wholes. It
+    declines, and the per-line reader reads the file from the start, when
+    the head is anything else; when there are no data rows; when numpy
+    refuses a row (a comment or provenance line after the header, a wrong
+    column count, a z beyond int64, or a field such as ``1_0`` or one in
+    non-ASCII digits, which float() and int() read and numpy does not);
+    when a field holds one of the ASCII separators U+001C to U+001F, which
+    numpy strips as whitespace and float() and int() refuse; or when a
+    value breaks a rule of ``Cohort`` (finite, x > 0, w > 0, z in {0, 1}).
+    So the per-line reader alone defines a valid file and every error.
+    Past those separators numpy's parser accepts a subset of what float()
+    and int() accept and rounds as they do, so a file the fast reader takes
+    reads bit-identical to the per-line reader.
+    """
+    cohort = _read_canonical(path)
+    return _read_lines(path) if cohort is None else cohort
+
+
+def _read_canonical(path) -> Cohort | None:
+    """The cohort in a canonical file, parsed by ``np.loadtxt``, or None
+    where the per-line reader must decide (see ``read_cohort``)."""
+    config = None
+    with _open_text(path) as f:
+        line = f.readline()
+        if line.startswith(_PROVENANCE_PREFIX) and line.isascii():
+            try:
+                config = _parse_provenance(line.rstrip("\n").rstrip("\r"), 1)
+            except CohortParseError:
+                return None
+            line = f.readline()
+        if not line.isascii() or line.rstrip("\n").rstrip("\r") != ",".join(_HEADER):
+            return None
+        lines = f.readlines(_READ_BLOCK)
+        # without a data row np.loadtxt would warn "input contained no data"
+        if not any(row.rstrip("\n").rstrip("\r") for row in lines):
+            return None
+        try:
+            rows = np.loadtxt(_checked_lines(lines, f), dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    try:
+        return Cohort(*(np.ascontiguousarray(rows[name]) for name in _HEADER), config=config)
+    except ParameterError:
+        return None
+
+
+def _checked_lines(lines, f):
+    """The given lines, then the rest of f a block of lines at a time;
+    raises ValueError at a block holding a character that numpy's number
+    parser strips as whitespace and float() and int() refuse."""
+    while lines:
+        block = "".join(lines)
+        if any(c in block for c in _NUMPY_ONLY_SPACE):
+            raise ValueError("a field holds an ASCII separator")
+        yield from lines
+        lines = f.readlines(_READ_BLOCK)
+
+
+def _read_lines(path) -> Cohort:
+    """The per-line reader: every rule of the format, checked line by line
+    with float() and int(), naming the first bad line."""
     config = None
     xs, ws, ys, zs = [], [], [], []
-    # bytes that are not UTF-8 decode to lone surrogates, so the error can
-    # name its line
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+    with _open_text(path) as f:
         lineno = 0
         header_seen = False
         for raw in f:
@@ -188,10 +285,7 @@ def read_cohort(path) -> Cohort:
                 continue
             if line.startswith("#"):
                 if line.startswith(_PROVENANCE_PREFIX):
-                    try:
-                        config = CohortConfig(**json.loads(line[len(_PROVENANCE_PREFIX):]))
-                    except (json.JSONDecodeError, TypeError, ParameterError) as exc:
-                        raise CohortParseError(f"bad provenance block: {exc}", lineno) from exc
+                    config = _parse_provenance(line, lineno)
                 continue
             fields = line.split(",")
             if not header_seen:

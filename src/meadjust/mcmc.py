@@ -38,20 +38,22 @@ called without it builds it from the state, so a caller that changes the
 state or the spec between calls simply passes none.
 
 From ``_THREADED_MIN_N`` subjects, ``run_chains`` runs a cell's chains at
-once, one thread per chain up to the number of usable CPUs. numpy releases
-the interpreter lock inside the random fills and the ufunc loops over long
-arrays, which take most of a full-scale scan; in a smaller cohort each
-short ufunc hands the lock back and forth, and threads lose. Chain 0 runs
-on the calling thread, and each pool chain's scan cache, which allocates
-all of the chain's n-arrays, is built there too: what a pool thread
-allocates stays in that thread's malloc arena after it ends, and at
-n=100 000 that raised the peak resident set by another 6 MB in some runs.
-A chain's draws depend only on its own stream and state, never on the
-schedule. The sampler's dot products go through
-``_dot``, whose result no BLAS thread setting can change: each BLAS call
-gets at most ``_DOT_SLICE`` elements, too few for OpenBLAS to split across
-its threads, and the slices are summed in a fixed order. Up to that length
-it is plain ``a @ b``, so desk-scale draws are what they were.
+once, on one thread per usable CPU up to the number of chains. numpy
+releases the interpreter lock inside the random fills and the ufunc loops
+over long arrays, which take most of a full-scale scan; in a smaller cohort
+each short ufunc hands the lock back and forth, and threads lose. With W
+threads, the calling thread runs chains 0, W, 2W, ... and pool thread k
+runs chains k, k + W, ... in order. Each pool chain's scan cache, which
+allocates all of the chain's n-arrays, is built on the calling thread:
+what a pool thread allocates stays in that thread's malloc arena after it
+ends, and at n=100 000 that raised the peak resident set by another 6 MB
+in some runs. A chain's draws depend only on its own stream and state,
+never on the schedule. The sampler's dot products, like the naive fits
+that ``naive_start`` begins from, go through ``naive._dot``, whose result
+no BLAS thread setting can change: each BLAS call gets a slice of at most
+``naive._DOT_SLICE`` subjects, too few for OpenBLAS to split across its
+threads, and the slices are summed in a fixed order. Up to that length it
+is plain ``a @ b``, so desk-scale draws are what they were.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -69,7 +71,7 @@ from scipy.special import expit
 
 from .cohort import Cohort, require_integers
 from .errors import InitializationError, ParameterError
-from .naive import fit_linear, fit_logistic, softplus
+from .naive import _dot, fit_linear, fit_logistic, softplus
 from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 
@@ -96,22 +98,6 @@ _EXP_CAP = 700.0  # exp argument cap; overflowing proposals reject cleanly
 def _safe_exp(x, out=None):
     y = np.minimum(x, _EXP_CAP, out=out)
     return np.exp(y, out=y)
-
-
-_DOT_SLICE = 8192  # elements per BLAS dot call; OpenBLAS threads ddot only beyond 10 000
-
-
-def _dot(a, b) -> float:
-    """a @ b of two 1-D arrays, as BLAS dot products over fixed slices of
-    ``_DOT_SLICE`` elements summed in order: no slice is long enough for
-    BLAS to split it across threads, so the result is the same under any
-    BLAS thread count. Up to ``_DOT_SLICE`` elements it is exactly a @ b."""
-    if len(a) <= _DOT_SLICE:
-        return float(a @ b)
-    total = 0.0
-    for i in range(0, len(a), _DOT_SLICE):
-        total += float(a[i : i + _DOT_SLICE] @ b[i : i + _DOT_SLICE])
-    return total
 
 
 def _mh_accept(rng: Rng, logr: float) -> bool:
@@ -831,38 +817,56 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     starting state is built first, on the calling thread, so a failing
     start raises ``InitializationError`` before any scan. Then the chains
     run one after another, or, from ``_THREADED_MIN_N`` subjects on a
-    machine with more than one usable CPU, at once: chain 0 on the calling
-    thread and the others on a pool of threads. A chain's draws depend only
-    on its stream and its own state, and its dot products do not depend on
-    the BLAS thread count (``_dot``), so the draws are bit-identical however
-    the chains are scheduled. An exception in any chain, or an interrupt of
-    the caller, stops every other chain within one scan and is re-raised as
-    it was; of chains that fail before the stop reaches them, the lowest
-    numbered one's. Proposals adapt during burn-in only.
+    machine with more than one usable CPU, at once: round-robin over the
+    calling thread, which takes chain 0, and a pool of threads. A chain's
+    draws depend only on its stream and its own state, and its dot products
+    do not depend on the BLAS thread count (``naive._dot``), so the draws
+    are bit-identical however the chains are scheduled. An exception in any
+    chain, or an interrupt of the caller, stops every other chain within
+    one scan and is re-raised as it was; of chains that fail before the stop
+    reaches them, the lowest numbered one's. Proposals adapt during burn-in
+    only.
     """
     states = [initial_state(spec, mcmc.init_strategy, c, Rng(mcmc.seed, stream + (c,))) for c in range(mcmc.n_chains)]
     stop = threading.Event()
 
     def run(c, cache=None):
+        # the chain's result, or the exception that ended it, re-raised below
+        # once every chain has stopped
         state, states[c] = states[c], None  # a finished chain's arrays are freed
         try:
             return _run_chain(spec, mcmc, state, stop, cache)
-        except BaseException:
+        except BaseException as exc:
             stop.set()
-            raise
+            return exc
 
     workers = _chain_workers(spec.n, mcmc.n_chains)
+    chains = range(mcmc.n_chains)
     if workers == 1:
-        results = [run(c) for c in range(mcmc.n_chains)]
+        results = [run(c) for c in chains]
     else:
+        results = [None] * mcmc.n_chains
+
+        def run_share(share):
+            return [run(c, cache) for c, cache in share]
+
         with ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="meadjust-chain") as pool:
-            # pool chains get their caches from this thread (module docstring)
+            # chains go round-robin over the threads, this one included; pool
+            # chains get their caches from this thread (module docstring)
             try:
-                futures = [pool.submit(run, c, _ScanCache(states[c], spec)) for c in range(1, mcmc.n_chains)]
-                results = [run(0)] + [f.result() for f in futures]
+                futures = {
+                    k: pool.submit(run_share, [(c, _ScanCache(states[c], spec)) for c in chains[k::workers]])
+                    for k in range(1, workers)
+                }
+                results[::workers] = [run(c) for c in chains[::workers]]
+                for k, future in futures.items():
+                    results[k::workers] = future.result()
             except BaseException:  # also an interrupt while waiting for a pool chain
                 stop.set()
                 raise
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
     return PosteriorSamples(chains=[r[0] for r in results], acceptance_rates=[r[1] for r in results])
 
 

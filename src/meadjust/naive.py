@@ -62,13 +62,13 @@ def fit_linear(w, y) -> FitResult:
     wbar = w.mean()
     ybar = y.mean()
     dw = w - wbar
-    sxx = float(dw @ dw)
+    sxx = _dot(dw, dw)
     if sxx <= 0.0:
         raise SingularDesignError("predictor has zero variance")
-    slope = float(dw @ (y - ybar)) / sxx
+    slope = _dot(dw, y - ybar) / sxx
     intercept = ybar - slope * wbar
     resid = y - intercept - slope * w
-    sigma2 = float(resid @ resid) / (n - 2)
+    sigma2 = _dot(resid, resid) / (n - 2)
     se = math.sqrt(max(sigma2, 0.0) / sxx)
     return FitResult.from_estimates(intercept, slope, se, converged=True, iterations=0)
 
@@ -95,9 +95,28 @@ def softplus(x, out=None, work=None):
     return out
 
 
+_DOT_SLICE = 8192  # subjects per BLAS call; OpenBLAS threads ddot only beyond 10 000
+
+
+def _dot(a, b):
+    """a.T @ b, the product that sums over the subjects (the first axis),
+    as BLAS products over fixed slices of ``_DOT_SLICE`` subjects summed in
+    order: no slice is long enough for BLAS to split it across threads, so
+    the result is the same under any BLAS thread count. Up to
+    ``_DOT_SLICE`` subjects it is exactly a.T @ b. A float for two vectors,
+    else an array."""
+    if len(a) <= _DOT_SLICE:
+        total = a.T @ b
+    else:
+        total = 0.0
+        for i in range(0, len(a), _DOT_SLICE):
+            total = total + a[i : i + _DOT_SLICE].T @ b[i : i + _DOT_SLICE]
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def _logistic_loglik(eta, z):
     # sum z*eta - log(1 + exp(eta)), without overflow
-    return float(z @ eta - softplus(eta).sum())
+    return _dot(z, eta) - float(softplus(eta).sum())
 
 
 def fit_logistic(w, z) -> FitResult:
@@ -127,9 +146,9 @@ def fit_logistic(w, z) -> FitResult:
     for it in range(1, _MAX_ITER + 1):
         iterations = it
         mu = expit(eta)
-        score = X.T @ (z - mu)
+        score = _dot(X, z - mu)
         wt = mu * (1.0 - mu)
-        info = X.T @ (X * wt[:, None])
+        info = _dot(X, X * wt[:, None])
         if np.linalg.norm(score) < _SCORE_TOL:
             converged = True
             iterations = it - 1
@@ -153,8 +172,8 @@ def fit_logistic(w, z) -> FitResult:
         ll = _logistic_loglik(eta, z)
 
     mu = expit(eta)
-    score = X.T @ (z - mu)
-    info = X.T @ (X * (mu * (1.0 - mu))[:, None])
+    score = _dot(X, z - mu)
+    info = _dot(X, X * (mu * (1.0 - mu))[:, None])
     if np.linalg.norm(score) < _SCORE_TOL:
         converged = True
     if converged and np.max(np.abs(z - mu)) < 1e-6:

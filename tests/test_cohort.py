@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import meadjust.cohort as cohort_module
 from meadjust import (
     Cohort,
     CohortConfig,
@@ -120,6 +125,9 @@ def test_negative_exposure_rejected(tmp_path):
         read_cohort(path)
 
 
+_LATE = "x_true,w_obs,y,z\n" + "1.0,1.0,0.0,0\n" * 60_000  # rows on lines 2 to 60 001
+
+
 @pytest.mark.parametrize(
     "body,lineno",
     [
@@ -135,13 +143,136 @@ def test_negative_exposure_rejected(tmp_path):
         ('# meadjust-cohort {"n": 1,\nx_true,w_obs,y,z\n', 1),
         ("x_true,w_obs,y,z\n1.0,1.0,0.0,0\n0.0,1.0,0.0,0\n", 3),
         ("# a comment and no header\n", 1),
+        # bad rows far past the first rows the fast reader takes in
+        pytest.param(_LATE + "1.0,1.0,0.0,0\n1.0,nan,0.0,0\n", 60_003, id="late-non-finite"),
+        pytest.param(_LATE + "1.0,1.0,0.0,0,1\n", 60_002, id="late-5-columns"),
+        pytest.param(_LATE + "1.0,1.0,0.0,2\n", 60_002, id="late-z-2"),
+        pytest.param(_LATE.encode() + b"1.0,\xff1.0,0.0,0\n", 60_002, id="late-not-utf8"),
     ],
 )
 def test_malformed_files_name_line(tmp_path, body, lineno):
     path = tmp_path / "bad.csv"
     path.write_bytes(body if isinstance(body, bytes) else body.encode())
-    with pytest.raises(CohortParseError, match=f"line {lineno}"):
+    with pytest.raises(CohortParseError, match=f"line {lineno}") as excinfo:
         read_cohort(path)
+    assert excinfo.value.line == lineno
+
+
+# Computed at the commit before write_cohort formatted rows in blocks, when
+# it wrote one string per row: the blocks must not change a byte.
+WRITTEN_COHORT_SHA256 = "d2e7a64653fe94fbaa847b5afe8e51024d4ea588d8940b7d8291e4514588157b"
+
+
+def test_written_bytes_pinned(tmp_path):
+    cohort = simulate_cohort(CohortConfig(n=20_000, seed=14))
+    assert len(cohort) > 2 * cohort_module._WRITE_BLOCK  # three blocks or more
+    path = tmp_path / "cohort.csv"
+    write_cohort(cohort, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_COHORT_SHA256
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: the bytes of its arrays and its config,
+    or the type and message of its error."""
+    try:
+        cohort = reader(path)
+    except ParameterError as exc:
+        return type(exc), str(exc)
+    arrays = [getattr(cohort, name) for name in ("x_true", "w_obs", "y", "z")]
+    return [(a.dtype, a.tobytes()) for a in arrays], cohort.config
+
+
+def _random_rows(seed, n):
+    """Rows of random double bit patterns (any finite y, x and w made
+    positive), half written shortest, half to 25 digits, plus the extremes."""
+    gen = np.random.default_rng(seed)
+    values = np.frombuffer(gen.bytes(8 * 3 * n), dtype="<f8").reshape(n, 3).copy()
+    values[~np.isfinite(values)] = 1.0
+    exposures = values[:, :2]  # a view
+    np.abs(exposures, out=exposures)
+    exposures[exposures == 0.0] = 5e-324
+    values[:4] = [[5e-324, 1.7976931348623157e308, -0.0], [2.2250738585072014e-308, 1e-320, 5e-324],
+                  [1.7976931348623157e308, 1.0, -1.7976931348623157e308], [1.0, 1.0, 2.2250738585072009e-308]]
+    z = gen.integers(0, 2, size=n)
+    return [
+        ",".join([(repr(v) if i % 2 else f"{v:.25e}") for v in row] + [str(zi)])
+        for i, (row, zi) in enumerate(zip(values.tolist(), z.tolist()))
+    ]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final-newline", "no-final-newline"])
+@pytest.mark.parametrize("spaces", [False, True], ids=["tight", "spaced"])
+@pytest.mark.parametrize("provenance", [False, True], ids=["bare", "provenance"])
+def test_fast_reader_matches_per_line_reader(tmp_path, newline, final_newline, spaces, provenance):
+    """Whatever the fast reader takes, it reads bit for bit as the per-line
+    reader does, config included."""
+    rows = _random_rows(16, 3000)
+    if spaces:
+        rows = [" " + row.replace(",", " ,\t") + " " for row in rows]
+    head = ["x_true,w_obs,y,z"]
+    if provenance:
+        config = CohortConfig(n=len(rows), seed=3)
+        head.insert(0, "# meadjust-cohort " + json.dumps(dataclasses.asdict(config)))
+    path = tmp_path / "cohort.csv"
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(newline.join(head + rows) + (newline if final_newline else ""))
+    assert cohort_module._read_canonical(path) is not None
+    assert _outcome(cohort_module._read_canonical, path) == _outcome(cohort_module._read_lines, path)
+
+
+_GOOD_ROWS = "1.5,2.5,-0.25,1\n0.5,0.75,3.0,0\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("x_true,w_obs,y,z\n1_0.5,2.5,-0.25,1\n" + _GOOD_ROWS, id="underscore"),
+        pytest.param("x_true,w_obs,y,z\n\uff11.5,2.5,-0.25,1\n" + _GOOD_ROWS, id="full-width-digit"),
+        pytest.param("x_true,w_obs,y,z\n" + _GOOD_ROWS + "# a note\n" + _GOOD_ROWS, id="comment-after-header"),
+        pytest.param(
+            "x_true,w_obs,y,z\n" + _GOOD_ROWS + '# meadjust-cohort {"n": 4, "seed": 2}\n' + _GOOD_ROWS,
+            id="provenance-after-header",
+        ),
+        pytest.param("x_true,w_obs,y,z\r\n", id="header-only"),
+        pytest.param("x_true,w_obs,y,z\n\n\n", id="header-and-blank-lines"),
+        pytest.param("x_true,w_obs,y,z\n" + _GOOD_ROWS + "1.5,2.5,0.0,99999999999999999999\n", id="z-overflows-int64"),
+        pytest.param("x_true,w_obs,y,z\n1.5\x1c,2.5,0.0,1\n", id="ascii-separator"),
+        pytest.param("\n# a note\nx_true,w_obs,y,z\n" + _GOOD_ROWS, id="non-canonical-head"),
+    ],
+)
+def test_fast_reader_declines_to_per_line_reader(tmp_path, body):
+    """Files off the fast reader's subset go to the per-line reader, whose
+    result or error read_cohort then gives."""
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(body.encode())
+    assert cohort_module._read_canonical(path) is None
+    assert _outcome(read_cohort, path) == _outcome(cohort_module._read_lines, path)
+
+
+def test_reading_installs_no_warnings_filter(tmp_path, monkeypatch, recwarn):
+    """Neither reader touches the process-wide warnings filters, which no
+    thread can change safely, and a header-only file fails without numpy's
+    "no data" warning."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read_cohort changed the warnings filters")
+
+    good = tmp_path / "good.csv"
+    write_cohort(simulate_cohort(CohortConfig(n=50, seed=15)), good)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("x_true,w_obs,y,z\n\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x_true,w_obs,y,z\n1.0,1.0,0.0,2\n")
+    with monkeypatch.context() as m:
+        for name in ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"):
+            m.setattr(warnings, name, forbidden)
+        assert len(read_cohort(good)) == 50
+        with pytest.raises(ParameterError, match="no records"):
+            read_cohort(header_only)
+        with pytest.raises(CohortParseError, match="line 2"):
+            read_cohort(bad)
+    assert not recwarn.list
 
 
 def test_cohort_invariants_enforced():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import meadjust.mcmc as mcmc
+import meadjust.naive as naive
 from meadjust import (
     CohortConfig,
     GammaParams,
@@ -238,13 +239,22 @@ print(digest.hexdigest())
 """
 
 
-def test_draws_do_not_depend_on_blas_threads():
-    """Draws at n=30 000, where a plain BLAS dot product of two n-arrays
-    runs on as many threads as BLAS is given and sums in another order, are
-    the same with one BLAS thread and with two. On a machine with one CPU
-    BLAS runs one thread either way, and the test passes trivially."""
+_NAIVE_START_PROBE = """
+from meadjust import CohortConfig, ModelSpec, Rng, simulate_cohort
+from meadjust.experiment import priors_for
+from meadjust.mcmc import initial_state
+cohort = simulate_cohort(CohortConfig(n=30_000, seed=61))
+for kind in ("linear", "logistic"):
+    spec = ModelSpec.from_cohort(cohort, kind, priors_for(kind, "typeB"))
+    state = initial_state(spec, "naive_start", 1, Rng(67, (0,)))
+    print(kind, repr(state.coeff0), repr(state.coeff), repr(state.tau_eps))
+"""
+
+
+def _probe_under_blas_threads(probe: str) -> list[str]:
+    """The probe's output when run with one BLAS thread and with two."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcmc.__file__)))
-    digests = []
+    outputs = []
     for threads in ("1", "2"):
         env = {
             **os.environ,
@@ -253,21 +263,72 @@ def test_draws_do_not_depend_on_blas_threads():
             "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
         }
         done = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True, timeout=600
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=600
         )
-        digests.append(done.stdout.strip())
+        outputs.append(done.stdout.strip())
+    return outputs
+
+
+def test_draws_do_not_depend_on_blas_threads():
+    """Draws at n=30 000, where a plain BLAS dot product of two n-arrays
+    runs on as many threads as BLAS is given and sums in another order, are
+    the same with one BLAS thread and with two. On a machine with one CPU
+    BLAS runs one thread either way, and the test passes trivially."""
+    digests = _probe_under_blas_threads(_BLAS_PROBE)
     assert digests[0] == digests[1]
 
 
+def test_naive_start_does_not_depend_on_blas_threads():
+    """The naive fits that naive_start begins from sum over the subjects in
+    fixed slices too, so at n=30 000 the linear and the logistic starts are
+    the same with one BLAS thread and with two (trivially so with one CPU)."""
+    starts = _probe_under_blas_threads(_NAIVE_START_PROBE)
+    assert starts[0] == starts[1]
+
+
 def test_dot_is_plain_blas_up_to_a_slice():
-    """_dot is exactly a @ b up to _DOT_SLICE elements, and a dot product
-    to rounding beyond."""
+    """_dot is exactly a.T @ b up to _DOT_SLICE subjects, for vectors and
+    for the logistic fit's two-column design, and the same product to
+    rounding beyond."""
     gen = np.random.default_rng(79)
-    for n in (0, 1, 1000, mcmc._DOT_SLICE, mcmc._DOT_SLICE + 1, 30_000):
+    for n in (0, 1, 1000, naive._DOT_SLICE, naive._DOT_SLICE + 1, 30_000):
         a, b = gen.normal(size=n), gen.normal(size=n)
-        if n <= mcmc._DOT_SLICE:
-            assert mcmc._dot(a, b) == float(a @ b)
-        assert abs(mcmc._dot(a, b) - math.fsum(a * b)) <= 1e-12 * float(np.abs(a * b).sum())
+        X = np.column_stack([np.ones(n), gen.lognormal(size=n)])
+        if n <= naive._DOT_SLICE:
+            assert naive._dot(a, b) == float(a @ b)
+            assert np.array_equal(naive._dot(X, b), X.T @ b)
+            assert np.array_equal(naive._dot(X, X * a[:, None]), X.T @ (X * a[:, None]))
+        assert isinstance(naive._dot(a, b), float)
+        assert abs(naive._dot(a, b) - math.fsum(a * b)) <= 1e-12 * float(np.abs(a * b).sum())
+        scale = np.abs(X).T @ np.abs(X * a[:, None])
+        assert np.all(np.abs(naive._dot(X, X * a[:, None]) - X.T @ (X * a[:, None])) <= 1e-12 * scale)
+
+
+def test_chains_run_round_robin_over_the_threads(monkeypatch):
+    """With 4 chains on 2 threads the calling thread runs chains 0 and 2 and
+    the pool thread chains 1 and 3, and the draws are those of the
+    sequential run."""
+    cohort = simulate_cohort(CohortConfig(n=60, seed=12))
+    spec = ModelSpec.from_cohort(cohort, "logistic", logistic_priors("typeB"))
+    cfg = McmcConfig(n_chains=4, burn_in=20, keep=40, thin=2, seed=13)
+    sequential = run_chains(spec, cfg, stream=(3,))
+    threads = {}
+    scan = mcmc._scan
+
+    def recording_scan(state, spec, cache=None):
+        threads.setdefault(state.rng.stream[-1], set()).add(threading.get_ident())
+        return scan(state, spec, cache)
+
+    monkeypatch.setattr(mcmc, "_scan", recording_scan)
+    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
+    threaded = run_chains(spec, cfg, stream=(3,))
+    caller = {threading.get_ident()}
+    assert threads[0] == threads[2] == caller
+    assert len(threads[1]) == 1 and threads[1] == threads[3] != caller
+    for name in sequential.param_names:
+        for a, b in zip(sequential.chain_arrays(name), threaded.chain_arrays(name)):
+            assert np.array_equal(a, b)
+    assert sequential.acceptance_rates == threaded.acceptance_rates
 
 
 def test_chain_workers_follow_the_cohort_size(monkeypatch):
