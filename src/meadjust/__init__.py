@@ -26,9 +26,6 @@ from .mcmc import (
     full_conditional_precision,
     initial_state,
     run_chains,
-    update_latent_exposure,
-    update_logistic_coeffs,
-    update_mu_x_tau_x,
 )
 from .naive import FitResult, correct_rr_reliability, correct_slope_reliability, fit_linear, fit_logistic
 from .priors import (
@@ -73,9 +70,6 @@ __all__ = [
     "full_conditional_precision",
     "initial_state",
     "run_chains",
-    "update_latent_exposure",
-    "update_logistic_coeffs",
-    "update_mu_x_tau_x",
     "write_traces",
     "FitResult",
     "correct_rr_reliability",

@@ -209,12 +209,10 @@ def _cmd_naive(args) -> int:
     cohort = read_cohort(args.cohort)
     fit = _naive_fit(cohort, args.kind, args.log_exposure)
     row = {"kind": args.kind, **dataclasses.asdict(fit)}
+    label, estimate, lo, hi = "slope", fit.slope, fit.ci95_lo, fit.ci95_hi
     if args.kind == "logistic":
-        row.update(
-            odds_ratio=math.exp(fit.slope),
-            or_ci95_lo=math.exp(fit.ci95_lo),
-            or_ci95_hi=math.exp(fit.ci95_hi),
-        )
+        label, estimate, lo, hi = "OR", math.exp(estimate), math.exp(lo), math.exp(hi)
+        row.update(odds_ratio=estimate, or_ci95_lo=lo, or_ci95_hi=hi)
     prov = provenance_block(
         cohort_config=dataclasses.asdict(cohort.config) if cohort.config else None,
         command="naive",
@@ -223,16 +221,7 @@ def _cmd_naive(args) -> int:
     )
     base = os.path.join(args.out_dir, f"naive_{args.kind}")
     written = write_table(base, [row], args.format, prov, title=f"Naive {args.kind} fit")
-    if args.kind == "logistic":
-        print(
-            f"naive {args.kind}: OR {math.exp(fit.slope):.4g} "
-            f"(95% CI {math.exp(fit.ci95_lo):.4g} to {math.exp(fit.ci95_hi):.4g})"
-        )
-    else:
-        print(
-            f"naive {args.kind}: slope {fit.slope:.4g} "
-            f"(95% CI {fit.ci95_lo:.4g} to {fit.ci95_hi:.4g})"
-        )
+    print(f"naive {args.kind}: {label} {estimate:.4g} (95% CI {lo:.4g} to {hi:.4g})")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -21,8 +21,8 @@ fixed kernel; from then on they count the acceptances that
 
 ``ModelSpec`` is the sampler's one view of the data: it owns log W,
 computed once, and ``covariate(l)``, the exposure the outcome model sees.
-Every block takes ``(state, spec)``, and the chain state repeats nothing
-the spec holds.
+Every block takes ``(state, spec)`` and the scan cache below, and the
+chain state repeats nothing the spec holds.
 
 The scan carries a cache from block to block and from scan to scan: the
 covariate t = covariate(l) and the per-subject outcome terms at the current
@@ -32,28 +32,31 @@ linear predictor, proposal terms, residuals) is written into with ``out=``.
 Accepting blocks swap the current and proposal arrays or copy the accepted
 entries in place, so a steady-state scan allocates only the latent block's
 boolean accept mask and faults in no fresh pages. The allocator is left as
-it is: a library must not tune its host process's malloc. ``_scan``
-returns the cache and ``run_chains`` hands it to the next scan. A block
-called without it builds it from the state, so a caller that changes the
-state or the spec between calls simply passes none.
+it is: a library must not tune its host process's malloc. ``_scan`` and
+every block take the cache and update it in place; ``run_chains`` builds
+one per chain and hands it to each of the chain's scans. A caller that
+changes the state or the spec between calls builds a new cache.
 
-From ``_THREADED_MIN_N`` subjects, ``run_chains`` runs a cell's chains at
-once, on one thread per usable CPU up to the number of chains. numpy
-releases the interpreter lock inside the random fills and the ufunc loops
-over long arrays, which take most of a full-scale scan; in a smaller cohort
-each short ufunc hands the lock back and forth, and threads lose. With W
-threads, the calling thread runs chains 0, W, 2W, ... and pool thread k
-runs chains k, k + W, ... in order. Each pool chain's scan cache, which
+``run_chains`` runs a cell's chains round-robin over W threads: the
+calling thread runs chains 0, W, 2W, ... and pool thread k runs chains
+k, k + W, ... in order. From ``_THREADED_MIN_N`` subjects W is one per
+usable CPU up to the number of chains, else 1, and then the calling thread
+runs every chain and no pool thread starts. numpy releases the interpreter
+lock inside the random fills and the ufunc loops over long arrays, which
+take most of a full-scale scan; in a smaller cohort each short ufunc hands
+the lock back and forth, and threads lose. Every chain's scan cache, which
 allocates all of the chain's n-arrays, is built on the calling thread:
 what a pool thread allocates stays in that thread's malloc arena after it
 ends, and at n=100 000 that raised the peak resident set by another 6 MB
-in some runs. A chain's draws depend only on its own stream and state,
-never on the schedule. The sampler's dot products, like the naive fits
-that ``naive_start`` begins from, go through ``naive._dot``, whose result
-no BLAS thread setting can change: each BLAS call gets a slice of at most
-``naive._DOT_SLICE`` subjects, too few for OpenBLAS to split across its
-threads, and the slices are summed in a fixed order. Up to that length it
-is plain ``a @ b``, so desk-scale draws are what they were.
+in some runs. A chain of the calling thread gets its cache only once the
+chain before it has ended and freed its arrays. A chain's draws depend
+only on its own stream and state, never on the schedule. The sampler's dot
+products, like the naive fits that ``naive_start`` begins from, go through
+``naive._dot``, whose result no BLAS thread setting can change: each BLAS
+call gets a slice of at most ``naive._DOT_SLICE`` subjects, too few for
+OpenBLAS to split across its threads, and the slices are summed in a fixed
+order. Up to that length it is plain ``a @ b``, so desk-scale draws are
+what they were.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -71,7 +74,7 @@ from scipy.special import expit
 
 from .cohort import Cohort, require_integers
 from .errors import InitializationError, ParameterError
-from .naive import _dot, fit_linear, fit_logistic, softplus
+from .naive import _dot, fit_linear, fit_logistic, logistic_terms
 from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 
@@ -83,9 +86,6 @@ __all__ = [
     "PosteriorSamples",
     "full_conditional_coeffs_linear",
     "full_conditional_precision",
-    "update_latent_exposure",
-    "update_logistic_coeffs",
-    "update_mu_x_tau_x",
     "run_chains",
     "initial_state",
     "sample_prior_state",
@@ -358,17 +358,9 @@ def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: 
             eta *= -0.5 * state.tau_eps
             return eta
         work = spares.take()
-        terms = softplus(eta, out=spares.take(), work=work)
-        np.multiply(spec.outcome, eta, out=eta)
-        np.subtract(eta, terms, out=terms)
+        terms = logistic_terms(eta, spec.outcome, out=spares.take(), work=work)
     spares.give(eta, work)
     return terms
-
-
-def _current(state: ChainState, spec: ModelSpec, cache) -> _ScanCache:
-    """The scan cache at the current state: the one carried in, or built
-    from the state when none is."""
-    return cache if cache is not None else _ScanCache(state, spec)
 
 
 def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float, out):
@@ -437,10 +429,9 @@ def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
 # Metropolis updates
 
 
-def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache=None):
+def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """Joint random-walk Metropolis on the logistic (intercept, slope), with
-    an adapted proposal covariance. Returns the scan cache."""
-    cache = _current(state, spec, cache)
+    an adapted proposal covariance."""
     priors = spec.priors
     proposal = state.proposals["coeffs"]
     prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
@@ -459,10 +450,9 @@ def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache=None):
     cache.spares.give(terms_prop)
     proposal.record(accepted, 1)
     proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
-    return cache
 
 
-def update_latent_exposure(state: ChainState, spec: ModelSpec, cache=None):
+def update_latent_exposure(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """Independence sampler on the latent log exposures.
 
     Each subject proposes from its exact no-outcome conditional
@@ -470,9 +460,8 @@ def update_latent_exposure(state: ChainState, spec: ModelSpec, cache=None):
     against the proposal, so acceptance needs only the per-subject outcome
     ratio. All subjects update in one vectorized pass (their conditionals
     are independent given the parameters). Rejections leave entries
-    unchanged, in l and in the scan cache, which is returned.
+    unchanged, in l and in the scan cache.
     """
-    cache = _current(state, spec, cache)
     spares = cache.spares
     m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, spares.take())
     prop = state.rng.standard_normal(out=spares.take())
@@ -489,7 +478,6 @@ def update_latent_exposure(state: ChainState, spec: ModelSpec, cache=None):
     np.copyto(cache.terms, terms_prop, where=accept)
     state.proposals["latent"].record(np.count_nonzero(accept), spec.n)
     cache.release(state, m, prop, terms_prop, log_u, diff)
-    return cache
 
 
 def _population_log_ratio(n: int, l_sum: float, tau_x: float, mu: float, mu_prop: float) -> float:
@@ -500,13 +488,13 @@ def _population_log_ratio(n: int, l_sum: float, tau_x: float, mu: float, mu_prop
     return -0.5 * tau_x * (mu_prop - mu) * (n * (mu_prop + mu) - 2.0 * l_sum)
 
 
-def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache=None):
+def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """Exposure-population update: location then precision.
 
     The location is a conjugate normal draw under a normal prior and a
     random-walk Metropolis step on the log axis under the lognormal prior;
     the precision is a conjugate gamma draw on the centered residuals,
-    written into a spare array of ``cache`` when one is given.
+    written into a spare array of ``cache``.
     """
     priors = spec.priors
     n = spec.n
@@ -527,10 +515,9 @@ def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache=None):
             state.mu_x = mu_prop
         state.proposals["mu_x"].record(accepted, 1)
 
-    spares = cache.spares if cache is not None else _Spares(n)
-    resid = np.subtract(state.l, state.mu_x, out=spares.take())
+    resid = np.subtract(state.l, state.mu_x, out=cache.spares.take())
     state.tau_x = _draw_precision(state, resid, priors.tau_x)
-    spares.give(resid)
+    cache.spares.give(resid)
 
 
 def _softplus(x: float) -> float:
@@ -538,7 +525,7 @@ def _softplus(x: float) -> float:
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def update_structural(state: ChainState, spec: ModelSpec, cache=None):
+def update_structural(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """Ridge move: a random-walk step in u = logit(r), r = (1/tau_e)/V.
 
     It holds mu_x, V = 1/tau_x + 1/tau_e and the standardised latents
@@ -547,9 +534,8 @@ def update_structural(state: ChainState, spec: ModelSpec, cache=None):
     gamma log priors of (tau_x, tau_e), the log-Jacobian -log r - log(1 - r)
     and the outcome log ratio at l'_i = m'_i + eps_i / sqrt(tau_e' + tau_x').
     On acceptance the proposal's l', t' and terms become the current ones
-    and the old arrays become spares. Returns the scan cache.
+    and the old arrays become spares.
     """
-    cache = _current(state, spec, cache)
     priors = spec.priors
     proposal = state.proposals["structural"]
     log_tau_x, log_tau_e = math.log(state.tau_x), math.log(state.tau_e)
@@ -592,21 +578,16 @@ def update_structural(state: ChainState, spec: ModelSpec, cache=None):
         l_prop, t_prop, terms_prop = old
     proposal.record(accepted, 1)
     cache.release(state, m, l_prop, t_prop, terms_prop)
-    return cache
 
 
 # ---------------------------------------------------------------------------
 # Scan, initialization, runner
 
 
-def _scan(state: ChainState, spec: ModelSpec, cache=None):
+def _scan(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """One full sweep in fixed order; the order is part of the kernel.
-
-    ``cache`` is the scan cache the previous scan returned for this state
-    and spec, or None to build it here. Returns the cache at the end of the
-    sweep.
+    ``cache`` is the scan cache at this state and spec, updated in place.
     """
-    cache = _current(state, spec, cache)
     spares = cache.spares
     if spec.kind == "linear":
         _draw_linear_coeffs(state, spec, cache.t)
@@ -619,17 +600,16 @@ def _scan(state: ChainState, spec: ModelSpec, cache=None):
         spares.give(resid, fitted, cache.terms)
         cache.terms = _outcome_terms(state, spec, cache.t, state.coeff0, state.coeff, spares)
     else:
-        cache = update_logistic_coeffs(state, spec, cache)
+        update_logistic_coeffs(state, spec, cache)
     resid = np.subtract(spec.log_w, state.l, out=spares.take())
     state.tau_e = _draw_precision(state, resid, spec.priors.tau_e)
     spares.give(resid)
     update_mu_x_tau_x(state, spec, cache)
-    cache = update_latent_exposure(state, spec, cache)
-    cache = update_structural(state, spec, cache)
+    update_latent_exposure(state, spec, cache)
+    update_structural(state, spec, cache)
     state.iteration += 1
     for proposal in state.proposals.values():
         proposal.end_scan(state.iteration)
-    return cache
 
 
 _COEFF_OFFSETS = (-0.5, 0.0, 0.5)
@@ -789,11 +769,10 @@ def _chain_workers(n: int, n_chains: int) -> int:
     return min(n_chains, cpus)
 
 
-def _run_chain(spec: ModelSpec, mcmc: McmcConfig, state: ChainState, stop: threading.Event, cache=None):
+def _run_chain(spec: ModelSpec, mcmc: McmcConfig, state: ChainState, stop: threading.Event, cache: _ScanCache):
     """One chain's retained draws, as parameter arrays, and the acceptance
     rate of each Metropolis block; None if ``stop`` was set before its last
-    scan. ``cache`` is the chain's scan cache, or None to build it at the
-    first scan; it is freed when the chain returns."""
+    scan. ``cache`` is the chain's scan cache at its starting state."""
     rows = []
     for i in range(mcmc.burn_in + mcmc.keep):
         if stop.is_set():
@@ -801,7 +780,7 @@ def _run_chain(spec: ModelSpec, mcmc: McmcConfig, state: ChainState, stop: threa
         if i == mcmc.burn_in:
             for proposal in state.proposals.values():
                 proposal.freeze()
-        cache = _scan(state, spec, cache)
+        _scan(state, spec, cache)
         kept = i + 1 - mcmc.burn_in
         if kept > 0 and kept % mcmc.thin == 0:
             rows.append(_record(state, spec))
@@ -816,9 +795,10 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     streams, derived from the master seed and the chain index. Every
     starting state is built first, on the calling thread, so a failing
     start raises ``InitializationError`` before any scan. Then the chains
-    run one after another, or, from ``_THREADED_MIN_N`` subjects on a
-    machine with more than one usable CPU, at once: round-robin over the
-    calling thread, which takes chain 0, and a pool of threads. A chain's
+    run round-robin over the calling thread, which takes chain 0, and
+    ``_chain_workers(n, n_chains) - 1`` pool threads: below
+    ``_THREADED_MIN_N`` subjects, or on one usable CPU, that is no pool
+    thread, and the calling thread runs every chain in order. A chain's
     draws depend only on its stream and its own state, and its dot products
     do not depend on the BLAS thread count (``naive._dot``), so the draws
     are bit-identical however the chains are scheduled. An exception in any
@@ -830,7 +810,7 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     states = [initial_state(spec, mcmc.init_strategy, c, Rng(mcmc.seed, stream + (c,))) for c in range(mcmc.n_chains)]
     stop = threading.Event()
 
-    def run(c, cache=None):
+    def run(c, cache):
         # the chain's result, or the exception that ended it, re-raised below
         # once every chain has stopped
         state, states[c] = states[c], None  # a finished chain's arrays are freed
@@ -840,30 +820,27 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
             stop.set()
             return exc
 
+    def run_share(share):
+        return [run(c, cache) for c, cache in share]
+
     workers = _chain_workers(spec.n, mcmc.n_chains)
     chains = range(mcmc.n_chains)
-    if workers == 1:
-        results = [run(c) for c in chains]
-    else:
-        results = [None] * mcmc.n_chains
-
-        def run_share(share):
-            return [run(c, cache) for c, cache in share]
-
-        with ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="meadjust-chain") as pool:
-            # chains go round-robin over the threads, this one included; pool
-            # chains get their caches from this thread (module docstring)
-            try:
-                futures = {
-                    k: pool.submit(run_share, [(c, _ScanCache(states[c], spec)) for c in chains[k::workers]])
-                    for k in range(1, workers)
-                }
-                results[::workers] = [run(c) for c in chains[::workers]]
-                for k, future in futures.items():
-                    results[k::workers] = future.result()
-            except BaseException:  # also an interrupt while waiting for a pool chain
-                stop.set()
-                raise
+    results = [None] * mcmc.n_chains
+    # a pool given no work starts no thread
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1), thread_name_prefix="meadjust-chain") as pool:
+        # every cache is built on this thread (module docstring); each of
+        # this thread's chains gets its own once the one before has ended
+        try:
+            futures = {
+                k: pool.submit(run_share, [(c, _ScanCache(states[c], spec)) for c in chains[k::workers]])
+                for k in range(1, workers)
+            }
+            results[::workers] = [run(c, _ScanCache(states[c], spec)) for c in chains[::workers]]
+            for k, future in futures.items():
+                results[k::workers] = future.result()
+        except BaseException:  # also an interrupt while waiting for a pool chain
+            stop.set()
+            raise
     for result in results:
         if isinstance(result, BaseException):
             raise result

@@ -4,7 +4,9 @@ reliability-coefficient corrections.
 The linear fit is ordinary least squares with the classical standard error;
 the logistic fit is maximum likelihood by Newton iterations on the
 log-likelihood (iteratively reweighted least squares) with Wald standard
-errors from the inverse observed information.
+errors from the inverse observed information. Its per-subject log
+likelihood, ``logistic_terms``, is also the sampler's logistic outcome
+term.
 """
 from __future__ import annotations
 
@@ -105,18 +107,23 @@ def _dot(a, b):
     the result is the same under any BLAS thread count. Up to
     ``_DOT_SLICE`` subjects it is exactly a.T @ b. A float for two vectors,
     else an array."""
-    if len(a) <= _DOT_SLICE:
-        total = a.T @ b
-    else:
-        total = 0.0
-        for i in range(0, len(a), _DOT_SLICE):
-            total = total + a[i : i + _DOT_SLICE].T @ b[i : i + _DOT_SLICE]
+    total = a[:_DOT_SLICE].T @ b[:_DOT_SLICE]
+    for i in range(_DOT_SLICE, len(a), _DOT_SLICE):
+        total = total + a[i : i + _DOT_SLICE].T @ b[i : i + _DOT_SLICE]
     return float(total) if np.ndim(total) == 0 else total
 
 
+def logistic_terms(eta, z, out=None, work=None):
+    """Per-subject logistic log likelihood z*eta - log(1 + e^eta) at linear
+    predictors eta and 0/1 outcomes z, without overflow. ``out`` and
+    ``work`` are optional arrays shaped like eta to write the result and the
+    intermediates into; eta is left as it is."""
+    out = softplus(eta, out=out, work=work)
+    return np.subtract(np.multiply(z, eta, out=work), out, out=out)
+
+
 def _logistic_loglik(eta, z):
-    # sum z*eta - log(1 + exp(eta)), without overflow
-    return _dot(z, eta) - float(softplus(eta).sum())
+    return float(logistic_terms(eta, z).sum())
 
 
 def fit_logistic(w, z) -> FitResult:

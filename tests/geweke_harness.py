@@ -85,7 +85,7 @@ def run_geweke(kind: str, transform: str, priors: PriorSet, seed: int, thin: int
     sc = {k: np.empty(ROUNDS) for k in keys}
     for r in range(ROUNDS):
         for _ in range(thin):
-            mcmc._scan(state, spec)
+            mcmc._scan(state, spec, mcmc._ScanCache(state, spec))
             spec = mcmc.sample_data_given_state(state, spec0, rng_sc)
         for k, v in _monitors(state, spec0).items():
             sc[k][r] = v

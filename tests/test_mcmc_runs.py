@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,9 +183,9 @@ def test_initialization_failure_precedes_every_scan(monkeypatch):
     scans = []
     scan = mcmc._scan
 
-    def counting_scan(state, spec, cache=None):
+    def counting_scan(state, spec, cache):
         scans.append(state.rng.stream)
-        return scan(state, spec, cache)
+        scan(state, spec, cache)
 
     monkeypatch.setattr(mcmc, "_scan", counting_scan)
     with pytest.raises(InitializationError, match="outcome"):
@@ -206,14 +207,14 @@ def test_chain_failure_stops_every_chain(monkeypatch):
     raised = []
     scan = mcmc._scan
 
-    def failing_scan(state, spec, cache=None):
+    def failing_scan(state, spec, cache):
         chain = state.rng.stream[-1]
         scans[chain] += 1
         threads[chain] = threading.get_ident()
         if chain == 1 and scans[1] == 3:
             raised.append(RuntimeError("chain 1 fails at scan 3"))
             raise raised[0]
-        return scan(state, spec, cache)
+        scan(state, spec, cache)
 
     monkeypatch.setattr(mcmc, "_scan", failing_scan)
     with pytest.raises(RuntimeError, match="chain 1 fails at scan 3") as excinfo:
@@ -306,29 +307,62 @@ def test_dot_is_plain_blas_up_to_a_slice():
 
 def test_chains_run_round_robin_over_the_threads(monkeypatch):
     """With 4 chains on 2 threads the calling thread runs chains 0 and 2 and
-    the pool thread chains 1 and 3, and the draws are those of the
-    sequential run."""
+    the pool thread chains 1 and 3, every chain's scan cache is built on the
+    calling thread, and the draws are those of the sequential run."""
     cohort = simulate_cohort(CohortConfig(n=60, seed=12))
     spec = ModelSpec.from_cohort(cohort, "logistic", logistic_priors("typeB"))
     cfg = McmcConfig(n_chains=4, burn_in=20, keep=40, thin=2, seed=13)
     sequential = run_chains(spec, cfg, stream=(3,))
     threads = {}
+    built = []
     scan = mcmc._scan
 
-    def recording_scan(state, spec, cache=None):
+    class RecordingCache(mcmc._ScanCache):
+        def __init__(self, state, spec):
+            built.append(threading.get_ident())
+            super().__init__(state, spec)
+
+    def recording_scan(state, spec, cache):
         threads.setdefault(state.rng.stream[-1], set()).add(threading.get_ident())
-        return scan(state, spec, cache)
+        scan(state, spec, cache)
 
     monkeypatch.setattr(mcmc, "_scan", recording_scan)
+    monkeypatch.setattr(mcmc, "_ScanCache", RecordingCache)
     monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
     threaded = run_chains(spec, cfg, stream=(3,))
     caller = {threading.get_ident()}
     assert threads[0] == threads[2] == caller
+    assert built == [threading.get_ident()] * 4
     assert len(threads[1]) == 1 and threads[1] == threads[3] != caller
     for name in sequential.param_names:
         for a, b in zip(sequential.chain_arrays(name), threaded.chain_arrays(name)):
             assert np.array_equal(a, b)
     assert sequential.acceptance_rates == threaded.acceptance_rates
+
+
+# SHA-256, as test_scan_cache._draws_sha256 computes it, of both kinds'
+# draws at n=2000, recorded when the one-thread schedule had a code path of
+# its own.
+ONE_WORKER_DRAWS_SHA256 = "69bb082cf6bb276038625fcc1128ec2f6a90f9a6089626264ea2fb1834fab821"
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    """Below _THREADED_MIN_N subjects the calling thread runs every chain,
+    no thread starts, and the draws are those of the sequential run."""
+    from test_scan_cache import _draws_sha256
+
+    cohort = simulate_cohort(CohortConfig(n=2000, seed=10))
+    cfg = McmcConfig(n_chains=3, burn_in=20, keep=40, thin=2, seed=83)
+    runs = [
+        (ModelSpec.from_cohort(cohort, "linear", linear_priors("typeB")), cfg, (0,)),
+        (ModelSpec.from_cohort(cohort, "logistic", logistic_priors("typeB")), cfg, (1,)),
+    ]
+
+    def no_start(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    assert _draws_sha256(runs) == ONE_WORKER_DRAWS_SHA256
 
 
 def test_chain_workers_follow_the_cohort_size(monkeypatch):
@@ -380,7 +414,7 @@ def test_write_traces(tmp_path):
     paths = write_traces(samples, tmp_path, prefix="trace_test")
     assert len(paths) == 2
     for c, path in enumerate(paths):
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         assert data.startswith(b"alpha0,alpha,tau_e,mu_x,tau_x\r\n")
         rows = data.decode("utf-8").strip().split("\r\n")
         assert rows[0].split(",") == samples.param_names

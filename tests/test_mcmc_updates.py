@@ -4,15 +4,7 @@ import math
 import numpy as np
 
 import meadjust.mcmc as mcmc
-from meadjust import (
-    GammaParams,
-    ModelSpec,
-    Rng,
-    fit_logistic,
-    update_latent_exposure,
-    update_logistic_coeffs,
-    update_mu_x_tau_x,
-)
+from meadjust import GammaParams, ModelSpec, Rng, fit_logistic
 from meadjust.priors import LogNormalPrior, NormalPrior, PriorSet
 
 
@@ -40,8 +32,9 @@ def test_latent_no_error_limit_sticks_to_log_w():
     w = rng.lognormal(size=200)
     spec = _linear_spec(w, rng.normal(size=200))
     state = _state(spec, tau_e=1e12, coeff=0.0, coeff0=0.0)
+    cache = mcmc._ScanCache(state, spec)
     for _ in range(200):
-        update_latent_exposure(state, spec)
+        mcmc.update_latent_exposure(state, spec, cache)
     assert np.max(np.abs(state.l - spec.log_w)) < 1e-5
 
 
@@ -52,13 +45,14 @@ def test_latent_shrinkage_oracle():
     w = rng.lognormal(size=400)
     spec = _linear_spec(w, np.zeros(400))
     state = _state(spec, coeff=0.0, coeff0=0.0, tau_e=1.0, tau_x=1.0, mu_x=0.8)
+    cache = mcmc._ScanCache(state, spec)
     sums = np.zeros(400)
     sq_sums = np.zeros(400)
     n_sweeps = 6000
     for _ in range(500):
-        update_latent_exposure(state, spec)
+        mcmc.update_latent_exposure(state, spec, cache)
     for _ in range(n_sweeps):
-        update_latent_exposure(state, spec)
+        mcmc.update_latent_exposure(state, spec, cache)
         sums += state.l
         sq_sums += state.l**2
     avg = sums / n_sweeps
@@ -90,14 +84,15 @@ def test_logistic_coeffs_prior_recovery():
         rng=Rng(3),
         proposals=mcmc._default_proposals(spec),
     )
+    cache = mcmc._ScanCache(state, spec)
     for i in range(20_000):  # adaptation phase
-        update_logistic_coeffs(state, spec)
+        mcmc.update_logistic_coeffs(state, spec, cache)
         state.iteration += 1
         state.proposals["coeffs"].end_scan(state.iteration)
     state.proposals["coeffs"].freeze()
     draws = np.empty(100_000)
     for i in range(len(draws)):
-        update_logistic_coeffs(state, spec)
+        mcmc.update_logistic_coeffs(state, spec, cache)
         draws[i] = state.coeff
     assert abs(draws.mean()) < 0.1
     assert abs(draws.var() - 10.0) < 1.0
@@ -121,14 +116,15 @@ def test_logistic_coeffs_bvm_vs_mle():
     spec = ModelSpec(kind="logistic", w=x, outcome=z, priors=priors)
     state = _state(spec, rng_seed=5)
     state.l = np.log(x)  # exposure known: latent pinned at truth
+    cache = mcmc._ScanCache(state, spec)
     for _ in range(3000):
-        update_logistic_coeffs(state, spec)
+        mcmc.update_logistic_coeffs(state, spec, cache)
         state.iteration += 1
         state.proposals["coeffs"].end_scan(state.iteration)
     state.proposals["coeffs"].freeze()
     draws = np.empty(20_000)
     for i in range(len(draws)):
-        update_logistic_coeffs(state, spec)
+        mcmc.update_logistic_coeffs(state, spec, cache)
         draws[i] = state.coeff
     fit = fit_logistic(x, z)
     assert fit.converged
@@ -151,10 +147,11 @@ def test_mu_tau_prior_recovery_no_data():
         rng=Rng(6),
         proposals=mcmc._default_proposals(spec),
     )
+    cache = mcmc._ScanCache(state, spec)
     mus = np.empty(30_000)
     taus = np.empty(30_000)
     for i in range(len(mus)):
-        update_mu_x_tau_x(state, spec)
+        mcmc.update_mu_x_tau_x(state, spec, cache)
         mus[i] = state.mu_x
         taus[i] = state.tau_x
     # prior: mu ~ N(0, 10), tau ~ Gamma(1, 1)
@@ -170,9 +167,10 @@ def test_mu_tau_conjugate_oracle_strong_data():
     spec = _linear_spec(np.exp(l), np.zeros(100_000))
     state = _state(spec, rng_seed=8)
     state.l = l.copy()
+    cache = mcmc._ScanCache(state, spec)
     mus, taus = [], []
     for i in range(600):
-        update_mu_x_tau_x(state, spec)
+        mcmc.update_mu_x_tau_x(state, spec, cache)
         if i >= 100:
             mus.append(state.mu_x)
             taus.append(state.tau_x)
@@ -200,9 +198,10 @@ def test_mu_lognormal_prior_washout_matches_normal():
         state.l = l.copy()
         if isinstance(prior, LogNormalPrior):
             state.mu_x = 1.0
+        cache = mcmc._ScanCache(state, spec)
         mus = []
         for i in range(2500):
-            update_mu_x_tau_x(state, spec)
+            mcmc.update_mu_x_tau_x(state, spec, cache)
             state.iteration += 1
             for proposal in state.proposals.values():
                 proposal.end_scan(state.iteration)
@@ -257,7 +256,8 @@ def test_mu_x_walk_never_underflows_to_zero():
     spec = _linear_spec(w, np.zeros(1000), priors=priors)
     state = _state(spec, rng_seed=73)
     state.proposals["mu_x"].scale = 2000.0
+    cache = mcmc._ScanCache(state, spec)
     for _ in range(50):
-        update_mu_x_tau_x(state, spec)
+        mcmc.update_mu_x_tau_x(state, spec, cache)
         assert state.mu_x > 0.0
     assert state.proposals["mu_x"].accepted > 0

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -130,6 +132,43 @@ def test_logistic_complete_separation_flagged():
     fit = fit_logistic(w, z)
     assert not fit.converged
     assert fit.iterations > 0
+
+
+def _fits_sha256(w, y, z) -> str:
+    """SHA-256 over the repr of every field of the linear fit of y and the
+    logistic fit of z on w."""
+    digest = hashlib.sha256()
+    for fit in (fit_linear(w, y), fit_logistic(w, z)):
+        for field in dataclasses.fields(fit):
+            digest.update(repr(getattr(fit, field.name)).encode())
+    return digest.hexdigest()
+
+
+# Recorded when the logistic fit summed its log likelihood as z @ eta minus
+# the sum of softplus(eta), before it shared the sampler's per-subject terms.
+NAIVE_FITS_SHA256 = {
+    "desk-w": "f61f2bc1d010c39a52f05e59b168948b4dc0f0ffa924bd58235e2c6dd450c410",
+    "desk-log_w": "5d92d5dcd062e2563c75445e4e3b4fc10c3fb84067a5e29a3a76bd83d7247ec3",
+    "full-w": "024595a2114ee7f9e02fad99a460c7e484ab46d458f3fae0f922731262d50ba0",
+    "full-log_w": "8b9933064177c218b4ae88a2496fc77a99acfd619447aa429d4ff7d318c4d5f5",
+    "separation": "e58cd42b1828a7c10af9631c14491a2197ed622493fe22bd6e3e96fb4978b5a3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAIVE_FITS_SHA256))
+def test_naive_fits_pinned(case, full_scale_cohort):
+    """Both fits, bit for bit, on W and log W of a desk-scale cohort
+    (n=2000) and of the full-scale one, and the logistic fit under complete
+    separation."""
+    if case == "separation":
+        w = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        z = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        assert _fits_sha256(w, z, z) == NAIVE_FITS_SHA256[case]
+        return
+    scale, exposure = case.split("-")
+    cohort = simulate_cohort(CohortConfig(n=2000, seed=10)) if scale == "desk" else full_scale_cohort
+    w = cohort.w_obs if exposure == "w" else np.log(cohort.w_obs)
+    assert _fits_sha256(w, cohort.y, cohort.z) == NAIVE_FITS_SHA256[case]
 
 
 def test_full_scale_null_logistic(full_scale_cohort):

@@ -97,9 +97,9 @@ def test_carried_cache_equals_a_fresh_evaluation(kind, transform, mu_x_family):
     state = mcmc.initial_state(spec, "paper_replication", 0, Rng(31))
     for proposal in state.proposals.values():  # acceptance counts over every scan
         proposal.freeze()
-    cache = None
+    cache = mcmc._ScanCache(state, spec)
     for _ in range(150):
-        cache = mcmc._scan(state, spec, cache)
+        mcmc._scan(state, spec, cache)
         _assert_cache_is_fresh(state, spec, cache)
     for block in ("latent", "structural"):
         proposal = state.proposals[block]
@@ -143,9 +143,9 @@ def test_saturated_identity_predictor_at_full_scale(monkeypatch):
         return outcome_terms(state, spec, t, coeff0, coeff, *spares)
 
     monkeypatch.setattr(mcmc, "_outcome_terms", recording)
-    cache = None
+    cache = mcmc._ScanCache(state, spec)
     for _ in range(4):
-        cache = mcmc._scan(state, spec, cache)
+        mcmc._scan(state, spec, cache)
         assert all(math.isfinite(v) for v in (state.coeff0, state.coeff, state.mu_x, state.tau_x, state.tau_e))
         assert np.isfinite(state.l).all()
         assert (state.coeff0, state.coeff) not in overflowed
@@ -182,14 +182,38 @@ def test_steady_state_scan_heap(kind):
     tracemalloc.start()
     try:
         state = mcmc.initial_state(spec, "paper_replication", 0, Rng(59))
-        cache = None
+        cache = mcmc._ScanCache(state, spec)
         for _ in range(3):
-            cache = mcmc._scan(state, spec, cache)
+            mcmc._scan(state, spec, cache)
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        cache = mcmc._scan(state, spec, cache)
+        mcmc._scan(state, spec, cache)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / n_array <= PEAK_N_ARRAYS
     assert (peak - before) / n_array <= SCAN_N_ARRAYS
+
+
+# A cell run on the calling thread holds every chain's start (l) and the one
+# running chain's cache: t, the outcome terms and five spares. So the design
+# puts the peak of a three-chain run at 3 + 7 + 1/8 n-arrays; the bound adds
+# 3/8 for small Python objects. A cache built while the previous chain's was
+# still held would add another 7.
+RUN_PEAK_N_ARRAYS = 10.5
+
+
+def test_calling_thread_holds_one_cache_at_a_time():
+    """tracemalloc peak of a three-chain run_chains below _THREADED_MIN_N
+    subjects, counted in n-arrays of float64: each chain's cache is built
+    only once the chain before it has ended and freed its arrays."""
+    n = mcmc._THREADED_MIN_N - 1
+    spec = ModelSpec.from_cohort(simulate_cohort(CohortConfig(n=n, seed=53)), "linear", linear_priors("typeB"))
+    tracemalloc.start()
+    try:
+        run_chains(spec, McmcConfig(n_chains=3, burn_in=3, keep=3, thin=1, seed=59))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) <= RUN_PEAK_N_ARRAYS
+
