@@ -26,16 +26,24 @@ chain state repeats nothing the spec holds.
 
 The scan carries a cache from block to block and from scan to scan: the
 covariate t = covariate(l) and the per-subject outcome terms at the current
-state, so each block evaluates the outcome only at its proposal, and five
-spare n-arrays that every n-length intermediate (conditional means, draws,
-linear predictor, proposal terms, residuals) is written into with ``out=``.
-Accepting blocks swap the current and proposal arrays or copy the accepted
-entries in place, so a steady-state scan allocates only the latent block's
-boolean accept mask and faults in no fresh pages. The allocator is left as
-it is: a library must not tune its host process's malloc. ``_scan`` and
-every block take the cache and update it in place; ``run_chains`` builds
-one per chain and hands it to each of the chain's scans. A caller that
-changes the state or the spec between calls builds a new cache.
+state, so each block evaluates the outcome only at its proposal, and a fixed
+list of five work n-arrays. Each block unpacks the slots it uses under the
+names of what it writes there (conditional mean, proposal, proposal terms,
+linear predictor, softplus work, residuals) and writes into them with
+``out=``. On acceptance the logistic coefficient step and the ridge move
+swap their proposal arrays with the current ones, slot for slot; the latent
+block copies the accepted entries in place. So a steady-state scan allocates
+only the latent block's boolean accept mask and faults in no fresh pages.
+The allocator is left as it is: a library must not tune its host process's
+malloc. ``_scan`` and every block take the cache and update it in place;
+``run_chains`` builds one per chain and hands it to each of the chain's
+scans. A caller that changes the state or the spec between calls builds a
+new cache.
+
+A proposal may overflow the linear predictor or the sum of the outcome
+terms; the resulting inf or NaN rejects. ``_scan`` and the start check
+``_check_finite_at_init`` each silence numpy's overflow and invalid-value
+warnings once, around all of their work; no block does so itself.
 
 ``run_chains`` runs a cell's chains round-robin over W threads: the
 calling thread runs chains 0, W, 2W, ... and pool thread k runs chains
@@ -294,73 +302,46 @@ def _default_proposals(spec: ModelSpec) -> dict[str, Proposal]:
 # Likelihood pieces
 
 
-class _Spares:
-    """Spare n-arrays that blocks write their intermediates into with
-    ``out=`` and hand back when done; ``count`` of them are allocated up
-    front, and ``take`` allocates only when none is free."""
-
-    def __init__(self, n: int, count: int = 0):
-        self.n = n
-        self.free = [np.empty(n) for _ in range(count)]
-
-    def take(self) -> np.ndarray:
-        return self.free.pop() if self.free else np.empty(self.n)
-
-    def give(self, *arrays, held=()):
-        """Put arrays back, each once, leaving out any in ``held``."""
-        known = {id(a) for a in (*self.free, *held)}
-        for a in arrays:
-            if id(a) not in known:
-                known.add(id(a))
-                self.free.append(a)
-
-
-# The outcome terms, and the five intermediates the latent block and the
-# ridge move hold at once.
-_CACHE_SPARES = 6
-
-
 class _ScanCache:
     """What a chain carries from block to block and from scan to scan: the
     covariate t = covariate(l) and the per-subject outcome terms at the
-    current state, and the spare n-arrays. Every float n-array a scan uses is
-    allocated here, so a cache built on one thread and scanned on another
-    allocates nothing large on the second."""
+    current state (under the log transform t is l itself), and ``work``,
+    five n-arrays for the blocks' intermediates: the most one block holds at
+    once. A block that swaps a proposal array with a current one puts the
+    old current array into the proposal's slot, so the slots never hold l, t
+    or the terms. Every float n-array a scan uses is allocated here, so a
+    cache built on one thread and scanned on another allocates nothing large
+    on the second."""
 
     def __init__(self, state: ChainState, spec: ModelSpec):
-        self.spares = _Spares(spec.n, _CACHE_SPARES)
+        self.work = [np.empty(spec.n) for _ in range(5)]
         self.t = spec.covariate(state.l)
-        self.terms = _outcome_terms(state, spec, self.t, state.coeff0, state.coeff, self.spares)
-
-    def release(self, state: ChainState, *arrays):
-        """Hand arrays back to the spares, except those the state or the
-        cache holds."""
-        self.spares.give(*arrays, held=(state.l, self.t, self.terms))
+        eta, work = self.work[3:]
+        self.terms = _outcome_terms(state, spec, self.t, state.coeff0, state.coeff, eta=eta, work=work)
 
 
-def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: float, spares=None) -> np.ndarray:
+def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: float, out=None, eta=None, work=None):
     """Per-subject outcome log likelihood at covariate t = covariate(l) and
     coefficients (coeff0, coeff), without the linear model's normalizing
-    constant (it depends on neither). The result and the intermediates go
-    into arrays taken from ``spares``; the intermediates go back.
+    constant (it depends on neither). The result goes into ``out``; the
+    logistic model's linear predictor and softplus intermediate go into
+    ``eta`` and ``work``. Each is a distinct n-array other than t, or None
+    for a fresh one.
 
-    Overflowing linear predictors propagate, without a numpy warning, to
-    -inf or NaN terms, which reject in any Metropolis ratio they enter.
+    Overflowing linear predictors propagate to -inf or NaN terms, which
+    reject in any Metropolis ratio they enter; the caller silences numpy's
+    warnings about them.
     """
-    if spares is None:
-        spares = _Spares(len(t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = np.multiply(coeff, t, out=spares.take())
-        eta += coeff0
-        if spec.kind == "linear":
-            np.subtract(spec.outcome, eta, out=eta)
-            np.square(eta, out=eta)
-            eta *= -0.5 * state.tau_eps
-            return eta
-        work = spares.take()
-        terms = logistic_terms(eta, spec.outcome, out=spares.take(), work=work)
-    spares.give(eta, work)
-    return terms
+    if spec.kind == "linear":
+        terms = np.multiply(coeff, t, out=out)
+        terms += coeff0
+        np.subtract(spec.outcome, terms, out=terms)
+        np.square(terms, out=terms)
+        terms *= -0.5 * state.tau_eps
+        return terms
+    eta = np.multiply(coeff, t, out=eta)
+    eta += coeff0
+    return logistic_terms(eta, spec.outcome, out=out, work=work)
 
 
 def _latent_conditional(spec: ModelSpec, mu_x: float, tau_x: float, tau_e: float, out):
@@ -434,20 +415,18 @@ def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache: _ScanCache
     an adapted proposal covariance."""
     priors = spec.priors
     proposal = state.proposals["coeffs"]
+    _, _, terms_prop, eta, work = cache.work
     prop0, prop1 = np.array([state.coeff0, state.coeff]) + proposal.step(state.rng)
-    terms_prop = _outcome_terms(state, spec, cache.t, prop0, prop1, cache.spares)
+    _outcome_terms(state, spec, cache.t, prop0, prop1, out=terms_prop, eta=eta, work=work)
 
     def log_target(c0, c1, outcome_terms):
-        lp = priors.coeff0.logpdf(c0) + priors.coeff.logpdf(c1)
-        with np.errstate(over="ignore"):
-            return lp + float(outcome_terms.sum())
+        return priors.coeff0.logpdf(c0) + priors.coeff.logpdf(c1) + float(outcome_terms.sum())
 
     logr = log_target(prop0, prop1, terms_prop) - log_target(state.coeff0, state.coeff, cache.terms)
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.coeff0, state.coeff = float(prop0), float(prop1)
-        cache.terms, terms_prop = terms_prop, cache.terms
-    cache.spares.give(terms_prop)
+        cache.terms, cache.work[2] = terms_prop, cache.terms
     proposal.record(accepted, 1)
     proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
 
@@ -462,22 +441,20 @@ def update_latent_exposure(state: ChainState, spec: ModelSpec, cache: _ScanCache
     are independent given the parameters). Rejections leave entries
     unchanged, in l and in the scan cache.
     """
-    spares = cache.spares
-    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, spares.take())
-    prop = state.rng.standard_normal(out=spares.take())
+    m, prop, terms_prop, eta, work = cache.work
+    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, m)
+    state.rng.standard_normal(out=prop)
     prop /= math.sqrt(prec)
     prop += m
     t_prop = spec.covariate(prop, out=m)
-    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff, spares)
-    log_u = state.rng.uniform(out=spares.take())
+    _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff, out=terms_prop, eta=eta, work=work)
+    log_u = state.rng.uniform(out=eta)
     np.log(np.subtract(1.0, log_u, out=log_u), out=log_u)
-    diff = np.subtract(terms_prop, cache.terms, out=spares.take())
-    accept = log_u < diff
+    accept = log_u < np.subtract(terms_prop, cache.terms, out=work)
     np.copyto(state.l, prop, where=accept)
     np.copyto(cache.t, t_prop, where=accept)
     np.copyto(cache.terms, terms_prop, where=accept)
     state.proposals["latent"].record(np.count_nonzero(accept), spec.n)
-    cache.release(state, m, prop, terms_prop, log_u, diff)
 
 
 def _population_log_ratio(n: int, l_sum: float, tau_x: float, mu: float, mu_prop: float) -> float:
@@ -494,7 +471,7 @@ def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     The location is a conjugate normal draw under a normal prior and a
     random-walk Metropolis step on the log axis under the lognormal prior;
     the precision is a conjugate gamma draw on the centered residuals,
-    written into a spare array of ``cache``.
+    written into the first work array of ``cache``.
     """
     priors = spec.priors
     n = spec.n
@@ -515,9 +492,8 @@ def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache: _ScanCache):
             state.mu_x = mu_prop
         state.proposals["mu_x"].record(accepted, 1)
 
-    resid = np.subtract(state.l, state.mu_x, out=cache.spares.take())
+    resid = np.subtract(state.l, state.mu_x, out=cache.work[0])
     state.tau_x = _draw_precision(state, resid, priors.tau_x)
-    cache.spares.give(resid)
 
 
 def _softplus(x: float) -> float:
@@ -533,8 +509,10 @@ def update_structural(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     given (mu_x, V) and that of eps then cancel, and the log ratio is the
     gamma log priors of (tau_x, tau_e), the log-Jacobian -log r - log(1 - r)
     and the outcome log ratio at l'_i = m'_i + eps_i / sqrt(tau_e' + tau_x').
-    On acceptance the proposal's l', t' and terms become the current ones
-    and the old arrays become spares.
+    l', t' and the proposal terms are written into the work arrays of
+    ``cache``. On acceptance they become the current l, t and terms, and the
+    old current arrays take their slots; under the log transform t' is l'
+    and t stays l.
     """
     priors = spec.priors
     proposal = state.proposals["structural"]
@@ -548,36 +526,34 @@ def update_structural(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     tau_x_prop = math.exp(min(_softplus(u_prop) - log_v, _EXP_CAP))
     tau_e_prop = math.exp(min(_softplus(-u_prop) - log_v, _EXP_CAP))
 
-    spares = cache.spares
-    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, spares.take())
-    l_prop, prec_prop = _latent_conditional(spec, state.mu_x, tau_x_prop, tau_e_prop, spares.take())
+    m, l_prop, terms_prop, eta, work = cache.work
+    m, prec = _latent_conditional(spec, state.mu_x, state.tau_x, state.tau_e, m)
+    l_prop, prec_prop = _latent_conditional(spec, state.mu_x, tau_x_prop, tau_e_prop, l_prop)
     np.subtract(state.l, m, out=m)
     m *= math.sqrt(prec / prec_prop)
     l_prop += m
     t_prop = spec.covariate(l_prop, out=m)
-    terms_prop = _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff, spares)
+    _outcome_terms(state, spec, t_prop, state.coeff0, state.coeff, out=terms_prop, eta=eta, work=work)
 
     def log_prior_jacobian(u, tau_x, tau_e):
         log_jacobian = _softplus(u) + _softplus(-u)
         return priors.tau_x.logpdf(tau_x) + priors.tau_e.logpdf(tau_e) + log_jacobian
 
-    with np.errstate(over="ignore"):
-        sum_prop, sum_cur = float(terms_prop.sum()), float(cache.terms.sum())
     logr = (
         log_prior_jacobian(u_prop, tau_x_prop, tau_e_prop)
         - log_prior_jacobian(u, state.tau_x, state.tau_e)
-        + sum_prop
-        - sum_cur
+        + float(terms_prop.sum())
+        - float(cache.terms.sum())
     )
     accepted = _mh_accept(state.rng, logr)
     if accepted:
         state.tau_x = tau_x_prop
         state.tau_e = tau_e_prop
-        old = state.l, cache.t, cache.terms
+        if t_prop is not l_prop:
+            cache.work[0] = cache.t
+        cache.work[1], cache.work[2] = state.l, cache.terms
         state.l, cache.t, cache.terms = l_prop, t_prop, terms_prop
-        l_prop, t_prop, terms_prop = old
     proposal.record(accepted, 1)
-    cache.release(state, m, l_prop, t_prop, terms_prop)
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +564,21 @@ def _scan(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """One full sweep in fixed order; the order is part of the kernel.
     ``cache`` is the scan cache at this state and spec, updated in place.
     """
-    spares = cache.spares
-    if spec.kind == "linear":
-        _draw_linear_coeffs(state, spec, cache.t)
-        resid, fitted = spares.take(), spares.take()
-        np.subtract(spec.outcome, state.coeff0, out=resid)
-        resid -= np.multiply(state.coeff, cache.t, out=fitted)
-        state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
-        # the old terms go back before the new ones are taken, so the new
-        # terms land in an array the chain already has
-        spares.give(resid, fitted, cache.terms)
-        cache.terms = _outcome_terms(state, spec, cache.t, state.coeff0, state.coeff, spares)
-    else:
-        update_logistic_coeffs(state, spec, cache)
-    resid = np.subtract(spec.log_w, state.l, out=spares.take())
-    state.tau_e = _draw_precision(state, resid, spec.priors.tau_e)
-    spares.give(resid)
-    update_mu_x_tau_x(state, spec, cache)
-    update_latent_exposure(state, spec, cache)
-    update_structural(state, spec, cache)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid, fitted = cache.work[:2]
+        if spec.kind == "linear":
+            _draw_linear_coeffs(state, spec, cache.t)
+            np.subtract(spec.outcome, state.coeff0, out=resid)
+            resid -= np.multiply(state.coeff, cache.t, out=fitted)
+            state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
+            _outcome_terms(state, spec, cache.t, state.coeff0, state.coeff, out=cache.terms)
+        else:
+            update_logistic_coeffs(state, spec, cache)
+        np.subtract(spec.log_w, state.l, out=resid)
+        state.tau_e = _draw_precision(state, resid, spec.priors.tau_e)
+        update_mu_x_tau_x(state, spec, cache)
+        update_latent_exposure(state, spec, cache)
+        update_structural(state, spec, cache)
     state.iteration += 1
     for proposal in state.proposals.values():
         proposal.end_scan(state.iteration)
@@ -677,12 +649,13 @@ def _check_finite_at_init(state: ChainState, spec: ModelSpec):
     """Raise InitializationError naming the first non-finite log-posterior
     term (the logistic model is the historically fragile one)."""
     checks = [(name, prior.logpdf(getattr(state, name))) for name, prior in spec.priors.items()]
-    dev_e = spec.log_w - state.l
-    checks.append(("latent_exposure", -0.5 * state.tau_e * _dot(dev_e, dev_e)))
-    dev_x = state.l - state.mu_x
-    checks.append(("latent_exposure", -0.5 * state.tau_x * _dot(dev_x, dev_x)))
-    outcome = _outcome_terms(state, spec, spec.covariate(state.l), state.coeff0, state.coeff)
-    checks.append(("outcome", float(outcome.sum())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev_e = spec.log_w - state.l
+        checks.append(("latent_exposure", -0.5 * state.tau_e * _dot(dev_e, dev_e)))
+        dev_x = state.l - state.mu_x
+        checks.append(("latent_exposure", -0.5 * state.tau_x * _dot(dev_x, dev_x)))
+        outcome = _outcome_terms(state, spec, spec.covariate(state.l), state.coeff0, state.coeff)
+        checks.append(("outcome", float(outcome.sum())))
     for name, value in checks:
         if not math.isfinite(value):
             raise InitializationError(name, f"log-posterior term = {value}")

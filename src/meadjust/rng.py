@@ -22,7 +22,7 @@ from .errors import ParameterError
 
 __all__ = ["Rng", "GammaParams", "sample_gamma"]
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def sample_gamma(rng: Rng, params: GammaParams, size=None):
 
     At the small prior shapes (down to 0.01) a draw can underflow to zero,
     so draws are clamped to the smallest normal float: a precision is never
-    zero.
+    zero. A single draw is clamped in Python floats.
     """
-    g = np.maximum(rng._gen.gamma(params.shape, params.scale, size=size), _TINY)
-    return g if size is not None else float(g)
+    g = rng._gen.gamma(params.shape, params.scale, size=size)
+    return max(g, _TINY) if size is None else np.maximum(g, _TINY)

@@ -83,6 +83,11 @@ def test_gamma_small_shapes_stay_valid(shape):
     draws = sample_gamma(Rng(6), GammaParams(shape, 1.0), size=N)
     assert np.all(draws > 0)
     assert np.all(np.isfinite(draws))
+    rng = Rng(6)
+    scalars = [sample_gamma(rng, GammaParams(shape, 1.0)) for _ in range(20_000)]
+    assert all(isinstance(x, float) and 0 < x < math.inf for x in scalars)
+    if shape == 0.01:  # some single draws underflow and are clamped
+        assert min(scalars) == np.finfo(float).tiny
 
 
 def test_gamma_rejects_bad_params():

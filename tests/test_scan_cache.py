@@ -74,9 +74,18 @@ def test_draws_pinned_off_the_desk_grid(config, threaded, monkeypatch):
 
 
 def _assert_cache_is_fresh(state, spec, cache):
+    """The carried (t, terms) equal a fresh evaluation, t is l exactly under
+    the log transform, and the five work arrays are distinct and hold none
+    of l, t and the terms: a block that wrote into a slot would otherwise
+    overwrite the state."""
     fresh_t = spec.covariate(state.l)
     assert np.array_equal(cache.t, fresh_t)
     assert np.array_equal(cache.terms, mcmc._outcome_terms(state, spec, fresh_t, state.coeff0, state.coeff))
+    assert (cache.t is state.l) == (spec.exposure_transform == "log")
+    held = {id(state.l), id(cache.t), id(cache.terms)}
+    slots = {id(a) for a in cache.work}
+    assert len(cache.work) == len(slots) == 5
+    assert not slots & held
 
 
 @pytest.mark.parametrize("mu_x_family", ["lognormal", "normal"])
@@ -136,11 +145,11 @@ def test_saturated_identity_predictor_at_full_scale(monkeypatch):
     outcome_terms = mcmc._outcome_terms
     overflowed = []
 
-    def recording(state, spec, t, coeff0, coeff, *spares):
+    def recording(state, spec, t, coeff0, coeff, **arrays):
         with np.errstate(over="ignore"):
             if not np.isfinite(coeff0 + coeff * t).all():
                 overflowed.append((float(coeff0), float(coeff)))
-        return outcome_terms(state, spec, t, coeff0, coeff, *spares)
+        return outcome_terms(state, spec, t, coeff0, coeff, **arrays)
 
     monkeypatch.setattr(mcmc, "_outcome_terms", recording)
     cache = mcmc._ScanCache(state, spec)
@@ -156,11 +165,12 @@ def test_saturated_identity_predictor_at_full_scale(monkeypatch):
     assert state.proposals["latent"].accepted > 0
 
 
-# A chain holds l, t and the outcome terms, and its cache five spare
+# A chain holds l, t and the outcome terms, and its cache five work
 # n-arrays: the most any block writes its intermediates into at once (the
-# latent block: the conditional mean, the proposal, the linear predictor,
-# the softplus work array and the proposal terms; then the uniforms and the
-# terms difference). A steady-state scan allocates only the latent block's
+# latent block and the ridge move: the conditional mean, the proposal, the
+# proposal terms, the linear predictor and the softplus work array; the
+# latent block then reuses the last two for the uniforms and the terms
+# difference). A steady-state scan allocates only the latent block's
 # boolean accept mask, n bytes. So the design puts the peak at
 # 3 + 5 + 1/8 n-arrays, and a scan's own allocations at 1/8; each bound
 # below adds 1/8 for small Python objects.
@@ -196,9 +206,9 @@ def test_steady_state_scan_heap(kind):
 
 
 # A cell run on the calling thread holds every chain's start (l) and the one
-# running chain's cache: t, the outcome terms and five spares. So the design
-# puts the peak of a three-chain run at 3 + 7 + 1/8 n-arrays; the bound adds
-# 3/8 for small Python objects. A cache built while the previous chain's was
+# running chain's cache: t, the outcome terms and five work arrays. So the
+# design puts the peak of a three-chain run at 3 + 7 + 1/8 n-arrays; the bound
+# adds 3/8 for small Python objects. A cache built while the previous chain's was
 # still held would add another 7.
 RUN_PEAK_N_ARRAYS = 10.5
 
