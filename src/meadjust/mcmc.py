@@ -45,26 +45,28 @@ terms; the resulting inf or NaN rejects. ``_scan`` and the start check
 ``_check_finite_at_init`` each silence numpy's overflow and invalid-value
 warnings once, around all of their work; no block does so itself.
 
-``run_chains`` runs a cell's chains round-robin over W threads: the
-calling thread runs chains 0, W, 2W, ... and pool thread k runs chains
-k, k + W, ... in order. From ``_THREADED_MIN_N`` subjects W is one per
-usable CPU up to the number of chains, else 1, and then the calling thread
-runs every chain and no pool thread starts. numpy releases the interpreter
-lock inside the random fills and the ufunc loops over long arrays, which
-take most of a full-scale scan; in a smaller cohort each short ufunc hands
-the lock back and forth, and threads lose. Every chain's scan cache, which
-allocates all of the chain's n-arrays, is built on the calling thread:
-what a pool thread allocates stays in that thread's malloc arena after it
-ends, and at n=100 000 that raised the peak resident set by another 6 MB
-in some runs. A chain of the calling thread gets its cache only once the
-chain before it has ended and freed its arrays. A chain's draws depend
-only on its own stream and state, never on the schedule. The sampler's dot
-products, like the naive fits that ``naive_start`` begins from, go through
-``naive._dot``, whose result no BLAS thread setting can change: each BLAS
-call gets a slice of at most ``naive._DOT_SLICE`` subjects, too few for
-OpenBLAS to split across its threads, and the slices are summed in a fixed
-order. Up to that length it is plain ``a @ b``, so desk-scale draws are
-what they were.
+``run_chains`` runs a cell's chains in rounds of W: the calling thread
+hands each of a round's chains but the first to a pool of W - 1 threads,
+runs the first itself, and waits for the whole round before the next
+begins. From ``_THREADED_MIN_N`` subjects W is one per usable CPU up to
+the number of chains, else 1, and then the calling thread runs every chain
+and no pool thread starts. numpy releases the interpreter lock inside the
+random fills and the ufunc loops over long arrays, which take most of a
+full-scale scan; in a smaller cohort each short ufunc hands the lock back
+and forth, and threads lose. Every chain's scan cache, which allocates all
+of the chain's n-arrays, is built on the calling thread just before its
+round starts: what a pool thread allocates stays in that thread's malloc
+arena after it ends, and at n=100 000 that raised the peak resident set by
+another 6 MB in some runs. A chain frees its cache when it ends, so at most
+W caches are alive at once. A round waits for its slowest chain, which
+costs time only when there are more chains than workers. A chain's draws
+depend only on its own stream and state, never on the schedule. The
+sampler's dot products, like the naive fits that ``naive_start`` begins
+from, go through ``naive._dot``, whose result no BLAS thread setting can
+change: each BLAS call gets a slice of at most ``naive._DOT_SLICE``
+subjects, too few for OpenBLAS to split across its threads, and the slices
+are summed in a fixed order. Up to that length it is plain ``a @ b``, so
+desk-scale draws are what they were.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -768,49 +770,51 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     streams, derived from the master seed and the chain index. Every
     starting state is built first, on the calling thread, so a failing
     start raises ``InitializationError`` before any scan. Then the chains
-    run round-robin over the calling thread, which takes chain 0, and
-    ``_chain_workers(n, n_chains) - 1`` pool threads: below
-    ``_THREADED_MIN_N`` subjects, or on one usable CPU, that is no pool
-    thread, and the calling thread runs every chain in order. A chain's
-    draws depend only on its stream and its own state, and its dot products
-    do not depend on the BLAS thread count (``naive._dot``), so the draws
-    are bit-identical however the chains are scheduled. An exception in any
-    chain, or an interrupt of the caller, stops every other chain within
-    one scan and is re-raised as it was; of chains that fail before the stop
-    reaches them, the lowest numbered one's. Proposals adapt during burn-in
-    only.
+    run in rounds of W = ``_chain_workers(n, n_chains)``: the calling thread
+    builds the scan cache of each chain of the round, submits all but the
+    first to a pool of W - 1 threads, runs the first itself and collects
+    the round's results before the next round, so it runs chains 0, W,
+    2W, .... Below ``_THREADED_MIN_N`` subjects, or on one usable CPU, W is
+    1: nothing is submitted, no thread starts, and the calling thread runs
+    every chain in order. A chain's draws depend only on its stream and its
+    own state, and its dot products do not depend on the BLAS thread count
+    (``naive._dot``), so the draws are bit-identical however the chains are
+    scheduled. An exception in any chain, or an interrupt of the caller,
+    stops every other chain within one scan and is re-raised as it was; of
+    chains that fail before the stop reaches them, the lowest numbered
+    one's. Proposals adapt during burn-in only.
     """
     states = [initial_state(spec, mcmc.init_strategy, c, Rng(mcmc.seed, stream + (c,))) for c in range(mcmc.n_chains)]
+    caches = [None] * mcmc.n_chains
     stop = threading.Event()
 
-    def run(c, cache):
+    def run(c):
         # the chain's result, or the exception that ended it, re-raised below
-        # once every chain has stopped
-        state, states[c] = states[c], None  # a finished chain's arrays are freed
+        # once every chain has stopped; the chain takes its state and cache
+        # out of the shared lists, so both are freed when it ends
+        state, states[c] = states[c], None
+        cache, caches[c] = caches[c], None
         try:
             return _run_chain(spec, mcmc, state, stop, cache)
         except BaseException as exc:
             stop.set()
             return exc
 
-    def run_share(share):
-        return [run(c, cache) for c, cache in share]
-
     workers = _chain_workers(spec.n, mcmc.n_chains)
     chains = range(mcmc.n_chains)
-    results = [None] * mcmc.n_chains
+    results = []
     # a pool given no work starts no thread
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1), thread_name_prefix="meadjust-chain") as pool:
-        # every cache is built on this thread (module docstring); each of
-        # this thread's chains gets its own once the one before has ended
         try:
-            futures = {
-                k: pool.submit(run_share, [(c, _ScanCache(states[c], spec)) for c in chains[k::workers]])
-                for k in range(1, workers)
-            }
-            results[::workers] = [run(c, _ScanCache(states[c], spec)) for c in chains[::workers]]
-            for k, future in futures.items():
-                results[k::workers] = future.result()
+            for first in chains[::workers]:
+                # every cache is built on this thread (module docstring)
+                futures = []
+                for c in chains[first + 1 : first + workers]:
+                    caches[c] = _ScanCache(states[c], spec)
+                    futures.append(pool.submit(run, c))
+                caches[first] = _ScanCache(states[first], spec)
+                results.append(run(first))
+                results += [future.result() for future in futures]
         except BaseException:  # also an interrupt while waiting for a pool chain
             stop.set()
             raise

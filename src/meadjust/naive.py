@@ -65,7 +65,8 @@ def fit_linear(w, y) -> FitResult:
     ybar = y.mean()
     dw = w - wbar
     sxx = _dot(dw, dw)
-    if sxx <= 0.0:
+    # a constant w can leave dw nonzero when its mean rounds
+    if sxx <= 0.0 or np.all(w == w[0]):
         raise SingularDesignError("predictor has zero variance")
     slope = _dot(dw, y - ybar) / sxx
     intercept = ybar - slope * wbar
@@ -143,26 +144,25 @@ def fit_logistic(w, z) -> FitResult:
     zbar = z.mean()
     if zbar in (0.0, 1.0):
         raise ParameterError("both outcome classes must be present")
+    if np.all(w == w[:1]):
+        raise SingularDesignError("predictor has zero variance")
 
     X = np.column_stack([np.ones(n), w])
     b = np.array([math.log(zbar / (1.0 - zbar)), 0.0])
     eta = X @ b
     ll = _logistic_loglik(eta, z)
-    converged = False
-    iterations = 0
-    for it in range(1, _MAX_ITER + 1):
-        iterations = it
+    # iterations counts the steps taken, and one more after a singular info
+    for iterations in range(_MAX_ITER + 1):
         mu = expit(eta)
         score = _dot(X, z - mu)
-        wt = mu * (1.0 - mu)
-        info = _dot(X, X * wt[:, None])
-        if np.linalg.norm(score) < _SCORE_TOL:
-            converged = True
-            iterations = it - 1
+        info = _dot(X, X * (mu * (1.0 - mu))[:, None])
+        converged = np.linalg.norm(score) < _SCORE_TOL
+        if converged or iterations == _MAX_ITER:
             break
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
+            iterations += 1
             break
         # halve on real decreases only; near the optimum the change sits
         # below the rounding noise of ll itself
@@ -178,11 +178,6 @@ def fit_logistic(w, z) -> FitResult:
         eta = X @ b
         ll = _logistic_loglik(eta, z)
 
-    mu = expit(eta)
-    score = _dot(X, z - mu)
-    info = _dot(X, X * (mu * (1.0 - mu))[:, None])
-    if np.linalg.norm(score) < _SCORE_TOL:
-        converged = True
     if converged and np.max(np.abs(z - mu)) < 1e-6:
         # every fitted probability saturated at its outcome: the score only
         # vanished because the likelihood is maximized at infinity

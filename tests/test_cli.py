@@ -375,6 +375,20 @@ def test_naive_non_finite_cohort_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_constant_exposure_exit_code(tmp_path, capsys):
+    """A cohort whose every w is equal is a singular design for the naive
+    fits and for the naive_start chains that begin from them."""
+    path = tmp_path / "cohort.csv"
+    path.write_text("x_true,w_obs,y,z\n" + "".join(f"1.0,0.3,{i % 3}.0,{i % 2}\n" for i in range(10)))
+    for argv in (
+        ["naive", str(path), "--kind", "linear"],
+        ["naive", str(path), "--kind", "logistic"],
+        ["adjust", str(path), "--kind", "logistic", "--init-strategy", "naive_start"],
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2, argv
+        assert "zero variance" in capsys.readouterr().err, argv
+
+
 def test_header_only_cohort_exit_code(tmp_path, capsys):
     path = tmp_path / "cohort.csv"
     path.write_text("x_true,w_obs,y,z\n")

@@ -1,11 +1,13 @@
 """End-to-end chain-runner behavior: determinism on the sequential and the
 threaded path, bookkeeping, degenerate reductions, initialization failure
 reporting, and stopping every chain when one fails."""
+import concurrent.futures
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,6 +224,36 @@ def test_chain_failure_stops_every_chain(monkeypatch):
     assert excinfo.value is raised[0]
     assert threads[1] != threading.get_ident()
     assert scans[0] < cfg.keep // 10
+
+
+def test_interrupt_while_waiting_stops_the_pool_chain(monkeypatch):
+    """An interrupt of the calling thread while it waits for chain 1, on a
+    pool thread, reaches the caller, and chain 1 stops within a scan
+    instead of running to its last. The autouse no_leaked_threads fixture
+    checks that the pool thread has ended when run_chains returns."""
+    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
+    cohort = simulate_cohort(CohortConfig(n=50, seed=10))
+    spec = ModelSpec.from_cohort(cohort, "linear", linear_priors())
+    cfg = McmcConfig(n_chains=2, burn_in=0, keep=2000, thin=100, seed=1)
+    scans = {0: 0, 1: 0}
+    scan = mcmc._scan
+
+    def slow_scan(state, spec, cache):
+        chain = state.rng.stream[-1]
+        scans[chain] += 1
+        if chain == 1:
+            time.sleep(0.002)
+        scan(state, spec, cache)
+
+    def interrupted(future, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mcmc, "_scan", slow_scan)
+    monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_chains(spec, cfg)
+    assert scans[0] == cfg.keep
+    assert scans[1] < cfg.keep
 
 
 _BLAS_PROBE = """

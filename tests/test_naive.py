@@ -75,6 +75,18 @@ def test_linear_degenerate_designs():
         fit_linear([1.0, 2.0, 3.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("value", [0.3, 1.0, 7.1])
+def test_constant_predictor_rejected(value):
+    """Every w equal is a singular design for both fits, also where the mean
+    of w rounds and leaves w - mean(w) nonzero (w = 0.3)."""
+    w = np.full(10, value)
+    z = np.array([0.0, 1.0] * 5)
+    with pytest.raises(SingularDesignError):
+        fit_linear(w, z)
+    with pytest.raises(SingularDesignError):
+        fit_logistic(w, z)
+
+
 def test_full_scale_null_linear(full_scale_cohort):
     fit = fit_linear(full_scale_cohort.w_obs, full_scale_cohort.y)
     assert fit.ci95_lo <= 0.0 <= fit.ci95_hi

@@ -212,18 +212,37 @@ def test_steady_state_scan_heap(kind):
 # still held would add another 7.
 RUN_PEAK_N_ARRAYS = 10.5
 
+# Six chains in rounds of two workers hold every start and the caches and
+# accept masks of the two running chains: 6 + 2 * 7 + 2/8 n-arrays, and 3/8
+# for small Python objects. A cache built for a chain of a later round before
+# its round starts would add another 7.
+ROUNDS_PEAK_N_ARRAYS = 20.625
 
-def test_calling_thread_holds_one_cache_at_a_time():
-    """tracemalloc peak of a three-chain run_chains below _THREADED_MIN_N
-    subjects, counted in n-arrays of float64: each chain's cache is built
-    only once the chain before it has ended and freed its arrays."""
+
+def _run_peak_n_arrays(n_chains: int) -> float:
+    """tracemalloc peak of a run_chains at n = _THREADED_MIN_N - 1, counted
+    in n-arrays of float64."""
     n = mcmc._THREADED_MIN_N - 1
     spec = ModelSpec.from_cohort(simulate_cohort(CohortConfig(n=n, seed=53)), "linear", linear_priors("typeB"))
     tracemalloc.start()
     try:
-        run_chains(spec, McmcConfig(n_chains=3, burn_in=3, keep=3, thin=1, seed=59))
+        run_chains(spec, McmcConfig(n_chains=n_chains, burn_in=3, keep=3, thin=1, seed=59))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / (8 * n) <= RUN_PEAK_N_ARRAYS
+    return peak / (8 * n)
 
+
+def test_calling_thread_holds_one_cache_at_a_time():
+    """tracemalloc peak of a three-chain run_chains below _THREADED_MIN_N
+    subjects: each chain's cache is built only once the chain before it has
+    ended and freed its arrays."""
+    assert _run_peak_n_arrays(3) <= RUN_PEAK_N_ARRAYS
+
+
+def test_rounds_hold_one_cache_per_worker(monkeypatch):
+    """tracemalloc peak of six chains on two forced workers: a chain's cache
+    is built only when its round starts and is freed before the next round
+    begins, so no more than two caches are alive at once."""
+    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
+    assert _run_peak_n_arrays(6) <= ROUNDS_PEAK_N_ARRAYS
