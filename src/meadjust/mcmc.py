@@ -46,27 +46,30 @@ terms; the resulting inf or NaN rejects. ``_scan`` and the start check
 warnings once, around all of their work; no block does so itself.
 
 ``run_chains`` runs a cell's chains in rounds of W: the calling thread
-hands each of a round's chains but the first to a pool of W - 1 threads,
-runs the first itself, and waits for the whole round before the next
-begins. From ``_THREADED_MIN_N`` subjects W is one per usable CPU up to
-the number of chains, else 1, and then the calling thread runs every chain
-and no pool thread starts. numpy releases the interpreter lock inside the
-random fills and the ufunc loops over long arrays, which take most of a
-full-scale scan; in a smaller cohort each short ufunc hands the lock back
-and forth, and threads lose. Every chain's scan cache, which allocates all
-of the chain's n-arrays, is built on the calling thread just before its
-round starts: what a pool thread allocates stays in that thread's malloc
-arena after it ends, and at n=100 000 that raised the peak resident set by
-another 6 MB in some runs. A chain frees its cache when it ends, so at most
-W caches are alive at once. A round waits for its slowest chain, which
-costs time only when there are more chains than workers. A chain's draws
-depend only on its own stream and state, never on the schedule. The
-sampler's dot products, like the naive fits that ``naive_start`` begins
-from, go through ``naive._dot``, whose result no BLAS thread setting can
-change: each BLAS call gets a slice of at most ``naive._DOT_SLICE``
-subjects, too few for OpenBLAS to split across its threads, and the slices
-are summed in a fixed order. Up to that length it is plain ``a @ b``, so
-desk-scale draws are what they were.
+hands each of a round's chains but the first to a pool of W - 1 threads
+and runs the first itself, so it runs chains 0, W, 2W, .... From
+``_THREADED_MIN_N`` subjects W is one per usable CPU up to the number of
+chains, else 1, and then the calling thread runs every chain and no pool
+thread starts. numpy releases the interpreter lock inside the random fills
+and the ufunc loops over long arrays, which take most of a full-scale
+scan; in a smaller cohort each short ufunc hands the lock back and forth,
+and threads lose. Every chain's scan cache, which allocates all of the
+chain's n-arrays, is built on the calling thread: what a pool thread
+allocates stays in that thread's malloc arena after it ends, and at
+n=100 000 that raised the peak resident set by another 6 MB in some runs.
+A chain gets its cache only once the chain W before it has ended and freed
+its arrays, so at most W caches are alive at once. With W + 1 chains or
+fewer no chain waits for one on another thread. With more, the calling
+thread hands out a round's pool chains, each once the chain W before it
+has ended, before it starts the round's first chain, so a thread may
+stand idle until the slower of them ends. A chain's draws depend only on
+its own stream and state, never on the schedule. The sampler's dot
+products, like the naive fits that ``naive_start`` begins from, go through
+``naive._dot``, whose result no BLAS thread setting can change: each BLAS
+call gets a slice of at most ``naive._DOT_SLICE`` subjects, too few for
+OpenBLAS to split across its threads, and the slices are summed in a fixed
+order. Up to that length it is plain ``a @ b``, so desk-scale draws are
+what they were.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -772,17 +775,17 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     start raises ``InitializationError`` before any scan. Then the chains
     run in rounds of W = ``_chain_workers(n, n_chains)``: the calling thread
     builds the scan cache of each chain of the round, submits all but the
-    first to a pool of W - 1 threads, runs the first itself and collects
-    the round's results before the next round, so it runs chains 0, W,
-    2W, .... Below ``_THREADED_MIN_N`` subjects, or on one usable CPU, W is
-    1: nothing is submitted, no thread starts, and the calling thread runs
+    first to a pool of W - 1 threads, each once the chain W before it has
+    ended, and runs the first itself, so it runs chains 0, W, 2W, ....
+    Below ``_THREADED_MIN_N`` subjects, or on one usable CPU, W is 1:
+    nothing is submitted, no thread starts, and the calling thread runs
     every chain in order. A chain's draws depend only on its stream and its
     own state, and its dot products do not depend on the BLAS thread count
     (``naive._dot``), so the draws are bit-identical however the chains are
     scheduled. An exception in any chain, or an interrupt of the caller,
-    stops every other chain within one scan and is re-raised as it was; of
-    chains that fail before the stop reaches them, the lowest numbered
-    one's. Proposals adapt during burn-in only.
+    stops every other chain within one scan, starts no further round and is
+    re-raised as it was; of chains that fail before the stop reaches them,
+    the lowest numbered one's. Proposals adapt during burn-in only.
     """
     states = [initial_state(spec, mcmc.init_strategy, c, Rng(mcmc.seed, stream + (c,))) for c in range(mcmc.n_chains)]
     caches = [None] * mcmc.n_chains
@@ -802,19 +805,25 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
 
     workers = _chain_workers(spec.n, mcmc.n_chains)
     chains = range(mcmc.n_chains)
-    results = []
+    results = [None] * mcmc.n_chains
+    pending = {}  # pool chain -> its future, until its result is collected
     # a pool given no work starts no thread
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1), thread_name_prefix="meadjust-chain") as pool:
         try:
             for first in chains[::workers]:
-                # every cache is built on this thread (module docstring)
-                futures = []
+                if stop.is_set():
+                    break
+                # every cache is built on this thread (module docstring); a
+                # pool chain's only once the chain W before it has ended
                 for c in chains[first + 1 : first + workers]:
+                    if c - workers in pending:
+                        results[c - workers] = pending.pop(c - workers).result()
                     caches[c] = _ScanCache(states[c], spec)
-                    futures.append(pool.submit(run, c))
+                    pending[c] = pool.submit(run, c)
                 caches[first] = _ScanCache(states[first], spec)
-                results.append(run(first))
-                results += [future.result() for future in futures]
+                results[first] = run(first)
+            for c, future in pending.items():
+                results[c] = future.result()
         except BaseException:  # also an interrupt while waiting for a pool chain
             stop.set()
             raise

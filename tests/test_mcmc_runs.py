@@ -196,18 +196,25 @@ def test_initialization_failure_precedes_every_scan(monkeypatch):
 
 
 def test_chain_failure_stops_every_chain(monkeypatch):
-    """An exception in chain 1, on a pool thread, at its third scan reaches
-    the caller as it was raised, and chain 0, on the calling thread, stops
-    within a few scans instead of running its 20 000 (or before its first,
-    when chain 1 fails first)."""
-    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: n_chains)
+    """Six chains on two threads: an exception in chain 1, on the pool
+    thread, at its third scan reaches the caller as it was raised, chain 0,
+    on the calling thread, stops within a few scans instead of running its
+    20 000 (or before its first, when chain 1 fails first), and no cache is
+    built for chains 2 to 5."""
+    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
     cohort = simulate_cohort(CohortConfig(n=50, seed=10))
     spec = ModelSpec.from_cohort(cohort, "linear", linear_priors())
-    cfg = McmcConfig(n_chains=2, burn_in=0, keep=20_000, thin=1000, seed=1)
-    scans = {0: 0, 1: 0}
+    cfg = McmcConfig(n_chains=6, burn_in=0, keep=20_000, thin=1000, seed=1)
+    scans = dict.fromkeys(range(6), 0)
     threads = {}
     raised = []
+    built = []
     scan = mcmc._scan
+
+    class RecordingCache(mcmc._ScanCache):
+        def __init__(self, state, spec):
+            built.append(state.rng.stream[-1])
+            super().__init__(state, spec)
 
     def failing_scan(state, spec, cache):
         chain = state.rng.stream[-1]
@@ -219,11 +226,13 @@ def test_chain_failure_stops_every_chain(monkeypatch):
         scan(state, spec, cache)
 
     monkeypatch.setattr(mcmc, "_scan", failing_scan)
+    monkeypatch.setattr(mcmc, "_ScanCache", RecordingCache)
     with pytest.raises(RuntimeError, match="chain 1 fails at scan 3") as excinfo:
         run_chains(spec, cfg)
     assert excinfo.value is raised[0]
     assert threads[1] != threading.get_ident()
     assert scans[0] < cfg.keep // 10
+    assert sorted(built) == [0, 1]
 
 
 def test_interrupt_while_waiting_stops_the_pool_chain(monkeypatch):
@@ -254,6 +263,32 @@ def test_interrupt_while_waiting_stops_the_pool_chain(monkeypatch):
         run_chains(spec, cfg)
     assert scans[0] == cfg.keep
     assert scans[1] < cfg.keep
+
+
+def test_one_chain_more_than_threads_waits_for_no_pool_chain(monkeypatch):
+    """Three chains on two threads: chain 2, on the calling thread, starts as
+    soon as chain 0 ends, while chain 1 on the pool thread is still running."""
+    monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
+    cohort = simulate_cohort(CohortConfig(n=50, seed=10))
+    spec = ModelSpec.from_cohort(cohort, "linear", linear_priors())
+    cfg = McmcConfig(n_chains=3, burn_in=0, keep=200, thin=100, seed=1)
+    scans = {0: 0, 1: 0, 2: 0}
+    chain_1_scans_when_2_starts = []
+    scan = mcmc._scan
+
+    def slow_scan(state, spec, cache):
+        chain = state.rng.stream[-1]
+        if chain == 2 and not scans[2]:
+            chain_1_scans_when_2_starts.append(scans[1])
+        scans[chain] += 1
+        if chain == 1:
+            time.sleep(0.002)
+        scan(state, spec, cache)
+
+    monkeypatch.setattr(mcmc, "_scan", slow_scan)
+    run_chains(spec, cfg)
+    assert scans == {0: cfg.keep, 1: cfg.keep, 2: cfg.keep}
+    assert chain_1_scans_when_2_starts[0] < cfg.keep // 2
 
 
 _BLAS_PROBE = """

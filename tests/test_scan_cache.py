@@ -4,6 +4,7 @@ every draw unchanged, and the cache must equal a fresh evaluation after
 every block that moves the state."""
 import hashlib
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -214,8 +215,8 @@ RUN_PEAK_N_ARRAYS = 10.5
 
 # Six chains in rounds of two workers hold every start and the caches and
 # accept masks of the two running chains: 6 + 2 * 7 + 2/8 n-arrays, and 3/8
-# for small Python objects. A cache built for a chain of a later round before
-# its round starts would add another 7.
+# for small Python objects. A cache built for a chain before the chain two
+# before it has ended would add another 7.
 ROUNDS_PEAK_N_ARRAYS = 20.625
 
 
@@ -242,7 +243,16 @@ def test_calling_thread_holds_one_cache_at_a_time():
 
 def test_rounds_hold_one_cache_per_worker(monkeypatch):
     """tracemalloc peak of six chains on two forced workers: a chain's cache
-    is built only when its round starts and is freed before the next round
-    begins, so no more than two caches are alive at once."""
+    is built only once the chain two before it has ended and freed its own,
+    so no more than two caches are alive at once. The pool thread's chains
+    are slowed so that the calling thread's end first."""
+    scan = mcmc._scan
+
+    def slow_pool_scan(state, spec, cache):
+        if state.rng.stream[-1] % 2:
+            time.sleep(0.01)
+        scan(state, spec, cache)
+
     monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
+    monkeypatch.setattr(mcmc, "_scan", slow_pool_scan)
     assert _run_peak_n_arrays(6) <= ROUNDS_PEAK_N_ARRAYS
