@@ -23,9 +23,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import CohortParseError, ParameterError
+from .naive import expit
 from .rng import Rng
 
 __all__ = ["CohortConfig", "Cohort", "simulate_cohort", "write_cohort", "read_cohort"]

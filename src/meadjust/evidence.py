@@ -9,7 +9,8 @@ marginal likelihood is a Gaussian integral with an exact answer:
                        + h^2 / (2 P) + log Phi(h / sqrt(P)),
 
 with P = tau v.v + sigma_b^-2, h = tau u.v, tau the noise precision and
-Phi the standard normal CDF.
+Phi the standard normal CDF. log Phi is computed here from ``math.erfc``
+and, far in the lower tail, its asymptotic series (``_log_ndtr``).
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import ParameterError
 
@@ -73,7 +73,37 @@ class HypothesisPriors:
 def marginal_likelihood_null(data: ToyData) -> float:
     """Log likelihood of the data under b = 0 (pure noise)."""
     tau = data.noise_precision
-    return 0.5 * data.n * math.log(tau / (2.0 * math.pi)) - 0.5 * tau * float(data.u @ data.u)
+    # sqrt(tau) u rather than tau (u.u): u.u overflows for a tiny tau whose
+    # noise is large while tau (u.u) stays near n; and log tau - log 2 pi,
+    # as tau / 2 pi underflows to 0 at the smallest subnormal tau
+    scaled = math.sqrt(tau) * data.u
+    return 0.5 * data.n * (math.log(tau) - math.log(2.0 * math.pi)) - 0.5 * float(scaled @ scaled)
+
+
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_ndtr(t: float) -> float:
+    """log Phi(t) for a float t, where Phi is the standard normal CDF.
+
+    From the complementary error function, as log1p(-Phi(-t)) above 0 and
+    log(Phi(t)) down to -20. Below -20, where erfc is about to underflow,
+    from the asymptotic (Mills ratio) series
+    Phi(t) = phi(t) / -t * (1 - 1/t^2 + 3/t^4 - 15/t^6 + ...),
+    summed until its terms stop mattering.
+    """
+    if t > 0.0:
+        return math.log1p(-0.5 * math.erfc(t / _SQRT2))
+    if t > -20.0:
+        return math.log(0.5 * math.erfc(-t / _SQRT2))
+    inv_t2 = 1.0 / (t * t)
+    series, term, k = 0.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * inv_t2
+        series += term
+        k += 1
+    return -0.5 * t * t - math.log(-t) - _LOG_SQRT_2PI + math.log1p(series)
 
 
 def marginal_likelihood_positive(data: ToyData, prior: HypothesisPriors) -> float:
@@ -93,7 +123,7 @@ def marginal_likelihood_positive(data: ToyData, prior: HypothesisPriors) -> floa
     v, log_scale = data.v / scale, math.log(scale)
     log_p = float(np.logaddexp(math.log(tau) + math.log(float(v @ v)) + 2.0 * log_scale, -2.0 * log_sigma))
     t = tau * float(data.u @ v) * math.exp(log_scale - 0.5 * log_p)  # h / sqrt(P)
-    log_ratio = math.log(2.0) - log_sigma - 0.5 * log_p + 0.5 * t * t + float(log_ndtr(t))
+    log_ratio = math.log(2.0) - log_sigma - 0.5 * log_p + 0.5 * t * t + _log_ndtr(t)
     return marginal_likelihood_null(data) + log_ratio
 
 

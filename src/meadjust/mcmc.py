@@ -83,11 +83,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .cohort import Cohort, require_integers
 from .errors import InitializationError, ParameterError
-from .naive import _dot, fit_linear, fit_logistic, logistic_terms
+from .naive import _dot, expit, fit_linear, fit_logistic, logistic_terms
 from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 

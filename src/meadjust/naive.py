@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError, SingularDesignError
 
@@ -98,6 +97,18 @@ def softplus(x, out=None, work=None):
     return out
 
 
+def expit(x):
+    """The logistic function 1 / (1 + e^-x) elementwise.
+
+    Below about -709 e^-x overflows to inf, silently, and the result is
+    exactly 0; +-inf give 1 and 0, NaN gives NaN. numpy's SIMD exp is
+    within 1 ULP of libm's, so the result is within a few ULP of the same
+    formula over libm.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 _DOT_SLICE = 8192  # subjects per BLAS call; OpenBLAS threads ddot only beyond 10 000
 
 
@@ -139,6 +150,8 @@ def fit_logistic(w, z) -> FitResult:
     n = len(w)
     if len(z) != n:
         raise ParameterError(f"length mismatch: {n} vs {len(z)}")
+    if n == 0:
+        raise SingularDesignError("no points to fit")
     if not set(np.unique(z)) <= {0.0, 1.0}:
         raise ParameterError("z must be 0/1")
     zbar = z.mean()

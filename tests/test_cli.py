@@ -432,6 +432,23 @@ def test_evidence_table(tmp_path, capsys):
     assert by_key[(1000, 0.01)] < 1.0
 
 
+@pytest.mark.parametrize("precision", ["1e-320", "5e-324"])
+def test_evidence_tiny_noise_precision_is_finite(tmp_path, precision):
+    """A subnormal precision draws noise near 1e160, whose u.u overflows
+    while tau (u.u) stays near n: every delta and log marginal is finite."""
+    out_dir = tmp_path / "ev"
+    rc = main([
+        "evidence", "--noise-precision", precision, "--n", "1000", "--prefixes", "10,1000",
+        "--p-null", "0.5", "--out-dir", str(out_dir),
+    ])
+    assert rc == 0
+    rows = _read_table_csv(out_dir / "evidence.csv")
+    assert len(rows) == 2
+    for row in rows:
+        for key in ("delta", "log_marginal_null", "log_marginal_positive"):
+            assert math.isfinite(float(row[key])), (key, row)
+
+
 def test_evidence_json_provenance(tmp_path):
     out_dir = tmp_path / "ev"
     rc = main(["evidence", "--seed", "3", "--prefixes", "10", "--p-null", "0.5", "--out-dir", str(out_dir)])

@@ -136,6 +136,8 @@ def test_logistic_score_norm_at_convergence():
 def test_logistic_single_class_rejected():
     with pytest.raises(ParameterError):
         fit_logistic([0.0, 1.0, 2.0], [1, 1, 1])
+    with pytest.raises(SingularDesignError, match="no points"):
+        fit_logistic([], [])
 
 
 def test_logistic_complete_separation_flagged():
@@ -156,13 +158,14 @@ def _fits_sha256(w, y, z) -> str:
     return digest.hexdigest()
 
 
-# Recorded when the logistic fit summed its log likelihood as z @ eta minus
-# the sum of softplus(eta), before it shared the sampler's per-subject terms.
+# desk-w and separation were recorded when the logistic fit summed its log
+# likelihood as z @ eta minus the sum of softplus(eta); the other three when
+# expit moved from scipy to numpy's exp, which moved their last bits.
 NAIVE_FITS_SHA256 = {
     "desk-w": "f61f2bc1d010c39a52f05e59b168948b4dc0f0ffa924bd58235e2c6dd450c410",
-    "desk-log_w": "5d92d5dcd062e2563c75445e4e3b4fc10c3fb84067a5e29a3a76bd83d7247ec3",
-    "full-w": "024595a2114ee7f9e02fad99a460c7e484ab46d458f3fae0f922731262d50ba0",
-    "full-log_w": "8b9933064177c218b4ae88a2496fc77a99acfd619447aa429d4ff7d318c4d5f5",
+    "desk-log_w": "106398f0c6151808a50325ed815b3029b71726d28d1da7f79b8c562140c52db9",
+    "full-w": "7b80560d22877824b994edda001aaa475547da6ae94b49702ce902ea2f1f413d",
+    "full-log_w": "e8c7b2b9546ea247d8466636fec59951afd7f538708054540e142536e71e49db",
     "separation": "e58cd42b1828a7c10af9631c14491a2197ed622493fe22bd6e3e96fb4978b5a3",
 }
 
