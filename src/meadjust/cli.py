@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .cohort import CohortConfig, read_cohort, simulate_cohort, write_cohort
+from .cohort import read_cohort, simulate_cohort, write_cohort
 from .errors import NumericalError, ParameterError
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
@@ -188,11 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    # without a config file, simulate defaults to the full-scale cohort
-    cohort_cfg = _load_config(args).cohort if args.config else _override(CohortConfig(), args)
-    cohort = simulate_cohort(cohort_cfg)
+    cohort = simulate_cohort(_load_config(args).cohort)
     out = args.out or os.path.join(args.out_dir, "cohort.csv")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     write_cohort(cohort, out)
     print(f"wrote {len(cohort)} subjects to {out}")
     return EXIT_OK
@@ -286,8 +283,6 @@ def _cmd_adjust(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-
     cohort = simulate_cohort(cfg.cohort)
     write_cohort(cohort, os.path.join(args.out_dir, "cohort.csv"))
     results = run_replication_grid(cfg, cohort)

@@ -62,6 +62,10 @@ class CohortConfig:
             raise ParameterError(f"seed must be >= 0, got seed {self.seed}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
+        for name in ("mu_x", "beta_true", "alpha_true"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
+                raise ParameterError(f"{name} must be a finite real number, got {v!r}")
         for name in ("tau_x", "tau_e", "tau_y"):
             v = getattr(self, name)
             if not (v > 0):
@@ -157,8 +161,9 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 def write_atomic(path, chunks) -> None:
     """Write the text chunks, in order and as given (no newline
     translation), to a temporary sibling of path, then move it into place:
-    a reader never sees a half-written file."""
+    a reader never sees a half-written file. Creates path's directory."""
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as f:
         f.writelines(chunks)

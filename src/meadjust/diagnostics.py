@@ -43,18 +43,31 @@ class RhatReport:
         return self.rhat < RHAT_GATE
 
 
+def _require_pooled_draws(n_draws: int) -> None:
+    if n_draws < MIN_DRAWS:
+        raise InsufficientSamplesError(f"need >= {MIN_DRAWS} draws to summarize, got {n_draws}")
+
+
+def _require_chain_count(n_chains: int) -> None:
+    if n_chains < MIN_CHAINS:
+        raise DegenerateChainError(f"need >= {MIN_CHAINS} chains, got {n_chains}")
+
+
+def _require_chain_length(chain_length: int) -> None:
+    if chain_length < MIN_CHAIN_LENGTH:
+        raise DegenerateChainError(f"chains too short for R-hat, length {chain_length}")
+
+
 def rhat(chains, parameter: str = "") -> RhatReport:
     """Gelman-Rubin potential scale reduction factor over >= 2 equal-length
     chains."""
     arrays = [np.asarray(c, dtype=float) for c in chains]
     m = len(arrays)
-    if m < MIN_CHAINS:
-        raise DegenerateChainError(f"need >= {MIN_CHAINS} chains, got {m}")
+    _require_chain_count(m)
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise DegenerateChainError("chains must have equal length")
-    if n < MIN_CHAIN_LENGTH:
-        raise DegenerateChainError(f"chains too short for R-hat, length {n}")
+    _require_chain_length(n)
     means = np.array([a.mean() for a in arrays])
     variances = np.array([a.var(ddof=1) for a in arrays])
     w = float(variances.mean())
@@ -73,8 +86,7 @@ def rhat(chains, parameter: str = "") -> RhatReport:
 def summarize(samples, parameter: str = "") -> PosteriorSummary:
     """Mean and equal-tailed 95% interval of pooled retained draws."""
     s = np.asarray(samples, dtype=float)
-    if len(s) < MIN_DRAWS:
-        raise InsufficientSamplesError(f"need >= {MIN_DRAWS} draws to summarize, got {len(s)}")
+    _require_pooled_draws(len(s))
     lo, hi = np.percentile(s, [2.5, 97.5], method="linear")
     return PosteriorSummary(
         parameter=parameter,
@@ -88,12 +100,9 @@ def summarize(samples, parameter: str = "") -> PosteriorSummary:
 def require_draws(n_chains: int, chain_length: int) -> None:
     """Raise, before any sampling, the error that summarize or rhat would
     raise on n_chains chains of chain_length retained draws each."""
-    if n_chains * chain_length < MIN_DRAWS:
-        raise InsufficientSamplesError(f"need >= {MIN_DRAWS} draws to summarize, got {n_chains * chain_length}")
-    if n_chains < MIN_CHAINS:
-        raise DegenerateChainError(f"need >= {MIN_CHAINS} chains, got {n_chains}")
-    if chain_length < MIN_CHAIN_LENGTH:
-        raise DegenerateChainError(f"chains too short for R-hat, length {chain_length}")
+    _require_pooled_draws(n_chains * chain_length)
+    _require_chain_count(n_chains)
+    _require_chain_length(chain_length)
 
 
 def transform_summary(samples, parameter: str = "") -> PosteriorSummary:

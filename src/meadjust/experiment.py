@@ -276,7 +276,6 @@ def write_table(base_path: str, rows: list[dict], formats, provenance: dict, tit
     digits. JSON writes a non-finite value as the CSV's string ("inf",
     "-inf", "nan"). All three embed the provenance block.
     """
-    os.makedirs(os.path.dirname(base_path) or ".", exist_ok=True)
     fieldnames = list(rows[0])
     written = []
     prov_json = json.dumps(provenance, sort_keys=True)
@@ -308,7 +307,6 @@ def write_table(base_path: str, rows: list[dict], formats, provenance: dict, tit
 def write_traces(samples: PosteriorSamples, out_dir, prefix: str = "trace") -> list[str]:
     """One CSV per chain, one row per retained draw, parameter-named columns
     (CRLF line ends, as the csv module writes them)."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for c, chain in enumerate(samples.chains):
         path = os.path.join(os.fspath(out_dir), f"{prefix}_chain{c}.csv")

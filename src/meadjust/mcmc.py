@@ -35,41 +35,38 @@ swap their proposal arrays with the current ones, slot for slot; the latent
 block copies the accepted entries in place. So a steady-state scan allocates
 only the latent block's boolean accept mask and faults in no fresh pages.
 The allocator is left as it is: a library must not tune its host process's
-malloc. ``_scan`` and every block take the cache and update it in place;
-``run_chains`` builds one per chain and hands it to each of the chain's
-scans. A caller that changes the state or the spec between calls builds a
-new cache.
+malloc. ``_scan`` and every block take the cache and update it in place.
+``_ScanCache.start`` points a cache at another chain's starting state,
+writing t and the terms into the arrays it already holds, so a chain that
+follows another on the same thread reuses its cache and allocates no
+n-array. A caller that changes the state between calls restarts the cache;
+one that changes the spec builds a new one.
 
 A proposal may overflow the linear predictor or the sum of the outcome
 terms; the resulting inf or NaN rejects. ``_scan`` and the start check
 ``_check_finite_at_init`` each silence numpy's overflow and invalid-value
 warnings once, around all of their work; no block does so itself.
 
-``run_chains`` runs a cell's chains in rounds of W: the calling thread
-hands each of a round's chains but the first to a pool of W - 1 threads
-and runs the first itself, so it runs chains 0, W, 2W, .... From
-``_THREADED_MIN_N`` subjects W is one per usable CPU up to the number of
-chains, else 1, and then the calling thread runs every chain and no pool
-thread starts. numpy releases the interpreter lock inside the random fills
-and the ufunc loops over long arrays, which take most of a full-scale
-scan; in a smaller cohort each short ufunc hands the lock back and forth,
-and threads lose. Every chain's scan cache, which allocates all of the
-chain's n-arrays, is built on the calling thread: what a pool thread
-allocates stays in that thread's malloc arena after it ends, and at
-n=100 000 that raised the peak resident set by another 6 MB in some runs.
-A chain gets its cache only once the chain W before it has ended and freed
-its arrays, so at most W caches are alive at once. With W + 1 chains or
-fewer no chain waits for one on another thread. With more, the calling
-thread hands out a round's pool chains, each once the chain W before it
-has ended, before it starts the round's first chain, so a thread may
-stand idle until the slower of them ends. A chain's draws depend only on
-its own stream and state, never on the schedule. The sampler's dot
-products, like the naive fits that ``naive_start`` begins from, go through
-``naive._dot``, whose result no BLAS thread setting can change: each BLAS
-call gets a slice of at most ``naive._DOT_SLICE`` subjects, too few for
-OpenBLAS to split across its threads, and the slices are summed in a fixed
-order. Up to that length it is plain ``a @ b``, so desk-scale draws are
-what they were.
+``run_chains`` runs a cell's chains in W lanes, one per thread, the calling
+thread's included: lane k runs chains k, k + W, k + 2W, ... in order, and
+every chain of a lane scans with the lane's one cache, restarted at the
+chain's start. From ``_THREADED_MIN_N`` subjects W is one per usable CPU
+up to the number of chains, else 1, and then the calling thread runs every
+chain and no pool thread starts. numpy releases the interpreter lock
+inside the random fills and the ufunc loops over long arrays, which take
+most of a full-scale scan; in a smaller cohort each short ufunc hands the
+lock back and forth, and threads lose. The calling thread builds every
+lane's cache, the pool lanes' first, and so allocates every n-array a
+chain scans with: what a pool thread allocates stays in that thread's
+malloc arena after it ends, and at n=100 000 that raised the peak resident
+set by another 6 MB in some runs. So a cell holds at most W caches, and no
+lane waits for another. A chain's draws depend only on its own stream and
+state, never on the schedule. The sampler's dot products, like the naive
+fits that ``naive_start`` begins from, go through ``naive._dot``, whose
+result no BLAS thread setting can change: each BLAS call gets a slice of at
+most ``naive._DOT_SLICE`` subjects, too few for OpenBLAS to split across
+its threads, and the slices are summed in a fixed order. Up to that length
+it is plain ``a @ b``, so desk-scale draws are what they were.
 
 All acceptance decisions work on log densities; nothing is exponentiated
 to linear scale, so cohorts of 10^5 subjects cannot overflow.
@@ -314,14 +311,21 @@ class _ScanCache:
     once. A block that swaps a proposal array with a current one puts the
     old current array into the proposal's slot, so the slots never hold l, t
     or the terms. Every float n-array a scan uses is allocated here, so a
-    cache built on one thread and scanned on another allocates nothing large
-    on the second."""
+    cache built on one thread and scanned, or restarted, on another
+    allocates nothing large on the second."""
 
     def __init__(self, state: ChainState, spec: ModelSpec):
         self.work = [np.empty(spec.n) for _ in range(5)]
-        self.t = spec.covariate(state.l)
+        self.t = self.terms = None
+        self.start(state, spec)
+
+    def start(self, state: ChainState, spec: ModelSpec):
+        """Point the cache at a chain's starting state: t and the outcome
+        terms are written into the arrays the cache holds, allocated only
+        by the first start."""
+        self.t = spec.covariate(state.l, out=self.t)
         eta, work = self.work[3:]
-        self.terms = _outcome_terms(state, spec, self.t, state.coeff0, state.coeff, eta=eta, work=work)
+        self.terms = _outcome_terms(state, spec, self.t, state.coeff0, state.coeff, out=self.terms, eta=eta, work=work)
 
 
 def _outcome_terms(state: ChainState, spec: ModelSpec, t, coeff0: float, coeff: float, out=None, eta=None, work=None):
@@ -772,58 +776,44 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     streams, derived from the master seed and the chain index. Every
     starting state is built first, on the calling thread, so a failing
     start raises ``InitializationError`` before any scan. Then the chains
-    run in rounds of W = ``_chain_workers(n, n_chains)``: the calling thread
-    builds the scan cache of each chain of the round, submits all but the
-    first to a pool of W - 1 threads, each once the chain W before it has
-    ended, and runs the first itself, so it runs chains 0, W, 2W, ....
-    Below ``_THREADED_MIN_N`` subjects, or on one usable CPU, W is 1:
-    nothing is submitted, no thread starts, and the calling thread runs
-    every chain in order. A chain's draws depend only on its stream and its
-    own state, and its dot products do not depend on the BLAS thread count
-    (``naive._dot``), so the draws are bit-identical however the chains are
-    scheduled. An exception in any chain, or an interrupt of the caller,
-    stops every other chain within one scan, starts no further round and is
-    re-raised as it was; of chains that fail before the stop reaches them,
-    the lowest numbered one's. Proposals adapt during burn-in only.
+    run in W = ``_chain_workers(n, n_chains)`` lanes, as the module
+    docstring describes; a chain's draws are bit-identical however the
+    chains are scheduled. An exception in any chain, or an interrupt of the
+    caller, stops every other chain within one scan, starts no further
+    chain and is re-raised as it was; of chains that fail before the stop
+    reaches them, the lowest numbered one's. Proposals adapt during burn-in
+    only.
     """
     states = [initial_state(spec, mcmc.init_strategy, c, Rng(mcmc.seed, stream + (c,))) for c in range(mcmc.n_chains)]
-    caches = [None] * mcmc.n_chains
+    workers = _chain_workers(spec.n, mcmc.n_chains)
+    results = [None] * mcmc.n_chains
     stop = threading.Event()
 
-    def run(c):
-        # the chain's result, or the exception that ended it, re-raised below
-        # once every chain has stopped; the chain takes its state and cache
-        # out of the shared lists, so both are freed when it ends
-        state, states[c] = states[c], None
-        cache, caches[c] = caches[c], None
-        try:
-            return _run_chain(spec, mcmc, state, stop, cache)
-        except BaseException as exc:
-            stop.set()
-            return exc
+    def lane(k, cache):
+        # each chain's result, or the exception that ended it, re-raised
+        # below once every lane has ended; taking a chain's state out of the
+        # list drops the previous chain's before the cache restarts
+        for c in range(k, mcmc.n_chains, workers):
+            if stop.is_set():
+                return
+            state, states[c] = states[c], None
+            try:
+                if c != k:
+                    cache.start(state, spec)
+                results[c] = _run_chain(spec, mcmc, state, stop, cache)
+            except BaseException as exc:
+                stop.set()
+                results[c] = exc
 
-    workers = _chain_workers(spec.n, mcmc.n_chains)
-    chains = range(mcmc.n_chains)
-    results = [None] * mcmc.n_chains
-    pending = {}  # pool chain -> its future, until its result is collected
     # a pool given no work starts no thread
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1), thread_name_prefix="meadjust-chain") as pool:
         try:
-            for first in chains[::workers]:
-                if stop.is_set():
-                    break
-                # every cache is built on this thread (module docstring); a
-                # pool chain's only once the chain W before it has ended
-                for c in chains[first + 1 : first + workers]:
-                    if c - workers in pending:
-                        results[c - workers] = pending.pop(c - workers).result()
-                    caches[c] = _ScanCache(states[c], spec)
-                    pending[c] = pool.submit(run, c)
-                caches[first] = _ScanCache(states[first], spec)
-                results[first] = run(first)
-            for c, future in pending.items():
-                results[c] = future.result()
-        except BaseException:  # also an interrupt while waiting for a pool chain
+            # every cache is built on this thread (module docstring)
+            lanes = [pool.submit(lane, k, _ScanCache(states[k], spec)) for k in range(1, workers)]
+            lane(0, _ScanCache(states[0], spec))
+            for future in lanes:
+                future.result()
+        except BaseException:  # also an interrupt while waiting for a pool lane
             stop.set()
             raise
     for result in results:

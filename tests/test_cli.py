@@ -52,11 +52,13 @@ def test_simulate_row_count_and_provenance(tmp_path):
     assert cohort.config.pi == 0.05
 
 
-def test_simulate_default_is_full_scale(tmp_path):
+def test_simulate_default_is_desk_scale(tmp_path):
+    """simulate resolves its settings as every command does, so without
+    --n or a config file it writes the desk-scale cohort."""
     out = tmp_path / "c.csv"
     rc = main(["simulate", "--seed", "1", "--out", str(out)])
     assert rc == 0
-    assert len(read_cohort(out)) == 100_000
+    assert len(read_cohort(out)) == 2000
 
 
 def test_simulate_invalid_pi_names_parameter(tmp_path, capsys):
@@ -245,6 +247,9 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"prior_variants": "typeA"}, "prior_variants"),
         ({"prior_variants": ["typeA", "typeA"]}, "prior_variants"),
         ([{"cohort": {"n": 100}}], "JSON object"),
+        ({"cohort": {"mu_x": "abc"}}, "mu_x"),
+        ({"cohort": {"beta_true": "x"}}, "beta_true"),
+        ({"cohort": {"alpha_true": [1]}}, "alpha_true"),
     ]
     for config, key in cases:
         path.write_text(json.dumps(config))

@@ -37,7 +37,12 @@ def test_config_validation_names_parameter():
             CohortConfig(**kwargs)
     with pytest.raises(ParameterError, match="seed"):
         CohortConfig(seed=-1)
+    for name in ("mu_x", "beta_true", "alpha_true"):
+        for value in ("abc", [1], True, math.inf, math.nan):
+            with pytest.raises(ParameterError, match=f"{name} must be a finite real number"):
+                CohortConfig(**{name: value})
     assert CohortConfig(n=np.int64(5)).n == 5
+    assert CohortConfig(mu_x=1, beta_true=np.float64(0.5), alpha_true=np.int64(-1)).alpha_true == -1
 
 
 def test_full_scale_cohort_shape():

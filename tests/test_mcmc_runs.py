@@ -199,8 +199,8 @@ def test_chain_failure_stops_every_chain(monkeypatch):
     """Six chains on two threads: an exception in chain 1, on the pool
     thread, at its third scan reaches the caller as it was raised, chain 0,
     on the calling thread, stops within a few scans instead of running its
-    20 000 (or before its first, when chain 1 fails first), and no cache is
-    built for chains 2 to 5."""
+    20 000 (or before its first, when chain 1 fails first), only the two
+    threads' caches are built, and chains 2 to 5 never scan."""
     monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
     cohort = simulate_cohort(CohortConfig(n=50, seed=10))
     spec = ModelSpec.from_cohort(cohort, "linear", linear_priors())
@@ -233,6 +233,7 @@ def test_chain_failure_stops_every_chain(monkeypatch):
     assert threads[1] != threading.get_ident()
     assert scans[0] < cfg.keep // 10
     assert sorted(built) == [0, 1]
+    assert [scans[c] for c in range(2, 6)] == [0, 0, 0, 0]
 
 
 def test_interrupt_while_waiting_stops_the_pool_chain(monkeypatch):
@@ -266,29 +267,31 @@ def test_interrupt_while_waiting_stops_the_pool_chain(monkeypatch):
 
 
 def test_one_chain_more_than_threads_waits_for_no_pool_chain(monkeypatch):
-    """Three chains on two threads: chain 2, on the calling thread, starts as
-    soon as chain 0 ends, while chain 1 on the pool thread is still running."""
+    """Three chains, and four, on two threads: chain 2, on the calling
+    thread, starts as soon as chain 0 ends, while chain 1 on the pool thread
+    is still running."""
     monkeypatch.setattr(mcmc, "_chain_workers", lambda n, n_chains: 2)
     cohort = simulate_cohort(CohortConfig(n=50, seed=10))
     spec = ModelSpec.from_cohort(cohort, "linear", linear_priors())
-    cfg = McmcConfig(n_chains=3, burn_in=0, keep=200, thin=100, seed=1)
-    scans = {0: 0, 1: 0, 2: 0}
-    chain_1_scans_when_2_starts = []
     scan = mcmc._scan
+    for n_chains in (3, 4):
+        cfg = McmcConfig(n_chains=n_chains, burn_in=0, keep=200, thin=100, seed=1)
+        scans = dict.fromkeys(range(n_chains), 0)
+        chain_1_scans_when_2_starts = []
 
-    def slow_scan(state, spec, cache):
-        chain = state.rng.stream[-1]
-        if chain == 2 and not scans[2]:
-            chain_1_scans_when_2_starts.append(scans[1])
-        scans[chain] += 1
-        if chain == 1:
-            time.sleep(0.002)
-        scan(state, spec, cache)
+        def slow_scan(state, spec, cache):
+            chain = state.rng.stream[-1]
+            if chain == 2 and not scans[2]:
+                chain_1_scans_when_2_starts.append(scans[1])
+            scans[chain] += 1
+            if chain == 1:
+                time.sleep(0.002)
+            scan(state, spec, cache)
 
-    monkeypatch.setattr(mcmc, "_scan", slow_scan)
-    run_chains(spec, cfg)
-    assert scans == {0: cfg.keep, 1: cfg.keep, 2: cfg.keep}
-    assert chain_1_scans_when_2_starts[0] < cfg.keep // 2
+        monkeypatch.setattr(mcmc, "_scan", slow_scan)
+        run_chains(spec, cfg)
+        assert scans == dict.fromkeys(range(n_chains), cfg.keep), n_chains
+        assert chain_1_scans_when_2_starts[0] < cfg.keep // 2, n_chains
 
 
 _BLAS_PROBE = """
@@ -374,20 +377,26 @@ def test_dot_is_plain_blas_up_to_a_slice():
 
 def test_chains_run_round_robin_over_the_threads(monkeypatch):
     """With 4 chains on 2 threads the calling thread runs chains 0 and 2 and
-    the pool thread chains 1 and 3, every chain's scan cache is built on the
-    calling thread, and the draws are those of the sequential run."""
+    the pool thread chains 1 and 3, the calling thread builds both threads'
+    scan caches, each thread restarts its own cache for its second chain,
+    and the draws are those of the sequential run."""
     cohort = simulate_cohort(CohortConfig(n=60, seed=12))
     spec = ModelSpec.from_cohort(cohort, "logistic", logistic_priors("typeB"))
     cfg = McmcConfig(n_chains=4, burn_in=20, keep=40, thin=2, seed=13)
     sequential = run_chains(spec, cfg, stream=(3,))
     threads = {}
     built = []
+    started = {}  # chain -> the thread that started a cache at its state
     scan = mcmc._scan
 
     class RecordingCache(mcmc._ScanCache):
         def __init__(self, state, spec):
             built.append(threading.get_ident())
             super().__init__(state, spec)
+
+        def start(self, state, spec):
+            started[state.rng.stream[-1]] = threading.get_ident()
+            super().start(state, spec)
 
     def recording_scan(state, spec, cache):
         threads.setdefault(state.rng.stream[-1], set()).add(threading.get_ident())
@@ -399,8 +408,10 @@ def test_chains_run_round_robin_over_the_threads(monkeypatch):
     threaded = run_chains(spec, cfg, stream=(3,))
     caller = {threading.get_ident()}
     assert threads[0] == threads[2] == caller
-    assert built == [threading.get_ident()] * 4
     assert len(threads[1]) == 1 and threads[1] == threads[3] != caller
+    assert built == [threading.get_ident()] * 2
+    assert {started[c] for c in (0, 1, 2)} == caller
+    assert {started[3]} == threads[3]
     for name in sequential.param_names:
         for a, b in zip(sequential.chain_arrays(name), threaded.chain_arrays(name)):
             assert np.array_equal(a, b)

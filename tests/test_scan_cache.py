@@ -95,7 +95,8 @@ def _assert_cache_is_fresh(state, spec, cache):
 def test_carried_cache_equals_a_fresh_evaluation(kind, transform, mu_x_family):
     """After every scan the carried (t, terms) equal covariate(l) and the
     outcome terms evaluated afresh, through scans where the latent block and
-    the ridge move each accept and reject."""
+    the ridge move each accept and reject; and so they do again once the
+    cache is restarted at a second chain's start, and after its scans."""
     cohort = simulate_cohort(CohortConfig(n=200, seed=29))
     if kind == "linear":
         priors = linear_priors("typeB", mu_x_normal=mu_x_family == "normal")
@@ -114,6 +115,12 @@ def test_carried_cache_equals_a_fresh_evaluation(kind, transform, mu_x_family):
     for block in ("latent", "structural"):
         proposal = state.proposals[block]
         assert 0 < proposal.accepted < proposal.attempts, block
+    state = mcmc.initial_state(spec, "paper_replication", 1, Rng(31, (1,)))
+    cache.start(state, spec)
+    _assert_cache_is_fresh(state, spec, cache)
+    for _ in range(10):
+        mcmc._scan(state, spec, cache)
+        _assert_cache_is_fresh(state, spec, cache)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -206,17 +213,43 @@ def test_steady_state_scan_heap(kind):
     assert (peak - before) / n_array <= SCAN_N_ARRAYS
 
 
-# A cell run on the calling thread holds every chain's start (l) and the one
-# running chain's cache: t, the outcome terms and five work arrays. So the
-# design puts the peak of a three-chain run at 3 + 7 + 1/8 n-arrays; the bound
-# adds 3/8 for small Python objects. A cache built while the previous chain's was
-# still held would add another 7.
+@pytest.mark.parametrize("transform", ["identity", "log"])
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+def test_cache_restart_allocates_no_n_array(kind, transform):
+    """tracemalloc peak of restarting a cache, after a chain's scans, at
+    the next chain's start at n=20 000: t and the outcome terms are written
+    into the arrays the cache holds, so the restart allocates less than
+    1/8 of an n-array."""
+    n = 20_000
+    cohort = simulate_cohort(CohortConfig(n=n, seed=53))
+    priors = linear_priors("typeB") if kind == "linear" else logistic_priors("typeB")
+    spec = ModelSpec.from_cohort(cohort, kind, priors, exposure_transform=transform)
+    state = mcmc.initial_state(spec, "paper_replication", 0, Rng(59, (0,)))
+    cache = mcmc._ScanCache(state, spec)
+    for _ in range(3):
+        mcmc._scan(state, spec, cache)
+    state = mcmc.initial_state(spec, "paper_replication", 1, Rng(59, (1,)))
+    tracemalloc.start()
+    try:
+        cache.start(state, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) < 1 / 8
+    _assert_cache_is_fresh(state, spec, cache)
+
+
+# A cell run on the calling thread holds every unstarted chain's start (l),
+# the running chain's l and the one cache all its chains share: t, the
+# outcome terms and five work arrays. So the design puts the peak of a
+# three-chain run at 3 + 7 + 1/8 n-arrays; the bound adds 3/8 for small
+# Python objects. A second cache, or a restart that allocated its arrays
+# afresh, would add up to another 7.
 RUN_PEAK_N_ARRAYS = 10.5
 
-# Six chains in rounds of two workers hold every start and the caches and
-# accept masks of the two running chains: 6 + 2 * 7 + 2/8 n-arrays, and 3/8
-# for small Python objects. A cache built for a chain before the chain two
-# before it has ended would add another 7.
+# Six chains in two lanes hold every start and the caches and accept masks
+# of the two lanes: 6 + 2 * 7 + 2/8 n-arrays, and 3/8 for small Python
+# objects. A third cache alive at once would add another 7.
 ROUNDS_PEAK_N_ARRAYS = 20.625
 
 
@@ -236,16 +269,16 @@ def _run_peak_n_arrays(n_chains: int) -> float:
 
 def test_calling_thread_holds_one_cache_at_a_time():
     """tracemalloc peak of a three-chain run_chains below _THREADED_MIN_N
-    subjects: each chain's cache is built only once the chain before it has
-    ended and freed its arrays."""
+    subjects: the calling thread runs every chain with one cache,
+    restarted at each chain's start."""
     assert _run_peak_n_arrays(3) <= RUN_PEAK_N_ARRAYS
 
 
 def test_rounds_hold_one_cache_per_worker(monkeypatch):
-    """tracemalloc peak of six chains on two forced workers: a chain's cache
-    is built only once the chain two before it has ended and freed its own,
-    so no more than two caches are alive at once. The pool thread's chains
-    are slowed so that the calling thread's end first."""
+    """tracemalloc peak of six chains on two forced workers: each worker's
+    lane restarts its one cache for each of its chains, so no more than two
+    caches are alive at once. The pool thread's chains are slowed so that
+    the calling thread's end first."""
     scan = mcmc._scan
 
     def slow_pool_scan(state, spec, cache):
