@@ -62,7 +62,7 @@ class CohortConfig:
             raise ParameterError(f"seed must be >= 0, got seed {self.seed}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
-        for name in ("mu_x", "beta_true", "alpha_true"):
+        for name in ("mu_x", "beta_true", "alpha_true", "tau_x", "tau_e", "tau_y", "pi"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
                 raise ParameterError(f"{name} must be a finite real number, got {v!r}")

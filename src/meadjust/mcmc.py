@@ -21,8 +21,11 @@ fixed kernel; from then on they count the acceptances that
 
 ``ModelSpec`` is the sampler's one view of the data: it owns log W,
 computed once, and ``covariate(l)``, the exposure the outcome model sees.
-Every block takes ``(state, spec)`` and the scan cache below, and the
-chain state repeats nothing the spec holds.
+Every block takes ``(state, spec, cache)``, with the scan cache below, and
+the chain state repeats nothing the spec holds. A scan runs the blocks of
+``_blocks(kind)`` in turn; that order, the order of the RNG calls, is the
+kernel. ``_blocks`` looks the blocks up at each call, so a wrapper set on a
+module attribute, as a tracer sets, is what runs.
 
 The scan carries a cache from block to block and from scan to scan: the
 covariate t = covariate(l) and the per-subject outcome terms at the current
@@ -391,14 +394,6 @@ def full_conditional_coeffs_linear(state: ChainState, spec: ModelSpec, t=None):
     return mean, prec
 
 
-def _draw_linear_coeffs(state: ChainState, spec: ModelSpec, t):
-    mean, prec = full_conditional_coeffs_linear(state, spec, t)
-    chol = np.linalg.cholesky(prec)
-    z = state.rng.standard_normal(2)
-    draw = mean + np.linalg.solve(chol.T, z)
-    state.coeff0, state.coeff = float(draw[0]), float(draw[1])
-
-
 def full_conditional_precision(residuals, prior: GammaParams) -> GammaParams:
     """Gamma posterior for a normal precision given its residuals.
 
@@ -412,6 +407,33 @@ def full_conditional_precision(residuals, prior: GammaParams) -> GammaParams:
 
 def _draw_precision(state: ChainState, residuals, prior: GammaParams) -> float:
     return sample_gamma(state.rng, full_conditional_precision(residuals, prior))
+
+
+def update_linear_coeffs(state: ChainState, spec: ModelSpec, cache: _ScanCache):
+    """Exact draw of the linear (intercept, slope) from their bivariate
+    normal full conditional at t = ``cache.t``."""
+    mean, prec = full_conditional_coeffs_linear(state, spec, cache.t)
+    chol = np.linalg.cholesky(prec)
+    z = state.rng.standard_normal(2)
+    draw = mean + np.linalg.solve(chol.T, z)
+    state.coeff0, state.coeff = float(draw[0]), float(draw[1])
+
+
+def update_tau_eps(state: ChainState, spec: ModelSpec, cache: _ScanCache):
+    """Gamma draw of the outcome precision on the residuals, written into the
+    first two work arrays, then the outcome terms at the new tau_eps."""
+    resid, fitted = cache.work[:2]
+    np.subtract(spec.outcome, state.coeff0, out=resid)
+    resid -= np.multiply(state.coeff, cache.t, out=fitted)
+    state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
+    _outcome_terms(state, spec, cache.t, state.coeff0, state.coeff, out=cache.terms)
+
+
+def update_tau_e(state: ChainState, spec: ModelSpec, cache: _ScanCache):
+    """Gamma draw of the measurement precision on log W - l, written into the
+    first work array."""
+    resid = np.subtract(spec.log_w, state.l, out=cache.work[0])
+    state.tau_e = _draw_precision(state, resid, spec.priors.tau_e)
 
 
 # ---------------------------------------------------------------------------
@@ -568,25 +590,22 @@ def update_structural(state: ChainState, spec: ModelSpec, cache: _ScanCache):
 # Scan, initialization, runner
 
 
+def _blocks(kind: str):
+    """The block updates of a scan of the model kind, in order. The names
+    are looked up at each call, not bound at import, so that a wrapper set
+    on a module attribute is the one a scan calls."""
+    coeffs = (update_linear_coeffs, update_tau_eps) if kind == "linear" else (update_logistic_coeffs,)
+    return (*coeffs, update_tau_e, update_mu_x_tau_x, update_latent_exposure, update_structural)
+
+
 def _scan(state: ChainState, spec: ModelSpec, cache: _ScanCache):
-    """One full sweep in fixed order; the order is part of the kernel.
-    ``cache`` is the scan cache at this state and spec, updated in place.
+    """One full sweep: each block of ``_blocks(spec.kind)`` in turn; that
+    order is the kernel's. ``cache`` is the scan cache at this state and
+    spec, updated in place.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        resid, fitted = cache.work[:2]
-        if spec.kind == "linear":
-            _draw_linear_coeffs(state, spec, cache.t)
-            np.subtract(spec.outcome, state.coeff0, out=resid)
-            resid -= np.multiply(state.coeff, cache.t, out=fitted)
-            state.tau_eps = _draw_precision(state, resid, spec.priors.tau_eps)
-            _outcome_terms(state, spec, cache.t, state.coeff0, state.coeff, out=cache.terms)
-        else:
-            update_logistic_coeffs(state, spec, cache)
-        np.subtract(spec.log_w, state.l, out=resid)
-        state.tau_e = _draw_precision(state, resid, spec.priors.tau_e)
-        update_mu_x_tau_x(state, spec, cache)
-        update_latent_exposure(state, spec, cache)
-        update_structural(state, spec, cache)
+        for block in _blocks(spec.kind):
+            block(state, spec, cache)
     state.iteration += 1
     for proposal in state.proposals.values():
         proposal.end_scan(state.iteration)

@@ -250,6 +250,8 @@ def test_replicate_unknown_config_key(tmp_path, capsys):
         ({"cohort": {"mu_x": "abc"}}, "mu_x"),
         ({"cohort": {"beta_true": "x"}}, "beta_true"),
         ({"cohort": {"alpha_true": [1]}}, "alpha_true"),
+        ({"cohort": {"tau_x": "abc"}}, "tau_x"),
+        ({"cohort": {"pi": "x"}}, "pi"),
     ]
     for config, key in cases:
         path.write_text(json.dumps(config))

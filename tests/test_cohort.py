@@ -37,7 +37,7 @@ def test_config_validation_names_parameter():
             CohortConfig(**kwargs)
     with pytest.raises(ParameterError, match="seed"):
         CohortConfig(seed=-1)
-    for name in ("mu_x", "beta_true", "alpha_true"):
+    for name in ("mu_x", "beta_true", "alpha_true", "tau_x", "tau_e", "tau_y", "pi"):
         for value in ("abc", [1], True, math.inf, math.nan):
             with pytest.raises(ParameterError, match=f"{name} must be a finite real number"):
                 CohortConfig(**{name: value})
