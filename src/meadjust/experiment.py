@@ -148,6 +148,8 @@ class CellResult:
 
 
 def priors_for(kind: str, variant: str, mu_x_normal: bool = False) -> PriorSet:
+    if kind not in MODEL_KINDS:
+        raise ParameterError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     if mu_x_normal and kind != "linear":
         raise ParameterError(f"--mu-x-normal (mu_x_normal) applies to the linear model, not {kind!r}")
     if kind == "linear":
@@ -162,18 +164,21 @@ def adjust_cell(
     mcmc: McmcConfig,
     exposure_transform: str = "identity",
     mu_x_normal: bool = False,
-    stream: tuple[int, ...] = (),
+    stream: tuple[int, ...] | None = None,
 ) -> CellResult:
     """Run one (model kind, error prior) cell and package its diagnostics.
 
     The cell owns its RNG streams: they are derived from the mcmc seed plus
-    the cell's stream prefix, so grid cells can run in any order or in
-    parallel without changing results. Settings whose draws could not be
-    summarized or diagnosed are refused before any sampling.
+    the cell's stream prefix, by default the cell's place in the replication
+    grid, so grid cells can run in any order or in parallel without changing
+    results and a lone cell reproduces its grid row. Settings whose draws
+    could not be summarized or diagnosed are refused before any sampling.
     """
     require_draws(mcmc.n_chains, mcmc.n_retained)
     priors = priors_for(kind, variant, mu_x_normal=mu_x_normal)
     spec = ModelSpec.from_cohort(cohort, kind, priors, exposure_transform=exposure_transform)
+    if stream is None:
+        stream = (_STREAM_ADJUST, MODEL_KINDS.index(kind), PRIOR_VARIANT_ORDER.index(variant))
     samples = run_chains(spec, mcmc, stream=stream)
 
     summaries = [summarize(samples.pooled(name), parameter=name) for name in samples.param_names]
@@ -202,11 +207,11 @@ def run_replication_grid(cfg: ExperimentConfig, cohort: Cohort) -> dict[str, lis
     cell cannot abort the grid.
     """
     results: dict[str, list[CellResult]] = {}
-    for k_idx, kind in enumerate(MODEL_KINDS):
+    for kind in MODEL_KINDS:
         if kind in cfg.model_kinds:
             results[kind] = [
-                adjust_cell(cohort, kind, variant, cfg.mcmc, stream=(_STREAM_ADJUST, k_idx, v_idx))
-                for v_idx, variant in enumerate(PRIOR_VARIANT_ORDER)
+                adjust_cell(cohort, kind, variant, cfg.mcmc)
+                for variant in PRIOR_VARIANT_ORDER
                 if variant in cfg.prior_variants
             ]
     return results

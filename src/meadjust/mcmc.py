@@ -14,9 +14,10 @@ the non-centred latents held fixed (Papaspiliopoulos, Roberts & Sköld 2007).
 
 Each random-walk block owns one ``Proposal``: its step size, tuned towards
 a target acceptance rate, and for the 2-D logistic coefficients a running
-proposal covariance (Haario, Saksman & Tamminen 2001). Proposals adapt
-during burn-in only and are then frozen, so retained draws come from a
-fixed kernel; from then on they count the acceptances that
+proposal covariance (Haario, Saksman & Tamminen 2001). A proposal adapts
+on its own scan count, when its block records the scan's acceptances.
+``_run_chain`` freezes it at burn-in, so retained draws come from a fixed
+kernel; from then on it counts the acceptances that
 ``PosteriorSamples.acceptance_rates`` reports.
 
 ``ModelSpec`` is the sampler's one view of the data: it owns log W,
@@ -212,12 +213,13 @@ _COV_INIT_SD = 0.3  # proposal sd per axis until a covariance is learnt
 class Proposal:
     """Proposal of one Metropolis block and its adaptation.
 
-    The step size follows a windowed Robbins-Monro rule towards ``target``.
-    With ``dim`` set, the block also learns a running proposal covariance
+    The step size follows a windowed Robbins-Monro rule towards ``target``,
+    on the proposal's own scan count: its block records once per scan. With
+    ``dim`` set, the block also learns a running proposal covariance
     (Haario-style adaptive Metropolis). Without a target there is nothing
-    to adapt and the proposal only counts acceptances. ``freeze`` ends the
-    adaptation and restarts the acceptance counts, which from then on
-    cover the retained scans.
+    to adapt and the proposal only counts acceptances. ``freeze``, which
+    ``_run_chain`` calls at burn-in, ends the adaptation and restarts the
+    acceptance counts, which from then on cover the retained scans.
     """
 
     def __init__(self, scale: float | None = None, target: float | None = None, dim: int | None = None):
@@ -225,6 +227,7 @@ class Proposal:
         self.target = target
         self.accepted = 0.0
         self.attempts = 0
+        self.scans = 0
         self.rounds = 0
         self.frozen = False
         if dim is not None:
@@ -238,13 +241,12 @@ class Proposal:
         return self.accepted / self.attempts if self.attempts else math.nan
 
     def record(self, accepted, attempts):
+        """Count one scan's acceptances; during burn-in, adapt the step size
+        after the 49th, 99th, ... scan (the off-by-one the pinned draws keep)."""
         self.accepted += float(accepted)
         self.attempts += int(attempts)
-
-    def end_scan(self, iteration: int):
-        if self.frozen or self.attempts == 0 or self.target is None:
-            return
-        if (iteration + 1) % _ADAPT_WINDOW == 0:
+        self.scans += 1
+        if not self.frozen and self.target is not None and (self.scans + 1) % _ADAPT_WINDOW == 0:
             self.rounds += 1
             step = (self.rate - self.target) / math.sqrt(self.rounds)
             self.scale *= math.exp(max(-0.7, min(0.7, step)))
@@ -254,14 +256,14 @@ class Proposal:
     def step(self, rng: Rng) -> np.ndarray:
         return self.scale * (self.chol @ rng.standard_normal(len(self.mean)))
 
-    def update_cov(self, x: np.ndarray, iteration: int):
+    def update_cov(self, x: np.ndarray):
         if self.frozen:
             return
         self.count += 1
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += np.outer(delta, x - self.mean)
-        if self.count >= 100 and (iteration + 1) % 25 == 0:
+        if self.count >= 100 and self.count % 25 == 0:
             cov = self.m2 / (self.count - 1) + 1e-9 * np.eye(len(self.mean))
             try:
                 self.chol = np.linalg.cholesky(cov)
@@ -286,7 +288,6 @@ class ChainState:
     tau_e: float
     l: np.ndarray
     rng: Rng
-    iteration: int = 0
     proposals: dict[str, Proposal] = field(default_factory=dict)
 
 
@@ -458,7 +459,7 @@ def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache: _ScanCache
         state.coeff0, state.coeff = float(prop0), float(prop1)
         cache.terms, cache.work[2] = terms_prop, cache.terms
     proposal.record(accepted, 1)
-    proposal.update_cov(np.array([state.coeff0, state.coeff]), state.iteration)
+    proposal.update_cov(np.array([state.coeff0, state.coeff]))
 
 
 def update_latent_exposure(state: ChainState, spec: ModelSpec, cache: _ScanCache):
@@ -601,14 +602,12 @@ def _blocks(kind: str):
 def _scan(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """One full sweep: each block of ``_blocks(spec.kind)`` in turn; that
     order is the kernel's. ``cache`` is the scan cache at this state and
-    spec, updated in place.
+    spec, updated in place. Each Metropolis block records into its proposal
+    once per scan, and the proposal adapts there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(spec.kind):
             block(state, spec, cache)
-    state.iteration += 1
-    for proposal in state.proposals.values():
-        proposal.end_scan(state.iteration)
 
 
 _COEFF_OFFSETS = (-0.5, 0.0, 0.5)
@@ -792,7 +791,9 @@ def run_chains(spec: ModelSpec, mcmc: McmcConfig, stream: tuple[int, ...] = ()) 
     """Run the configured chains and collect retained draws.
 
     Chains differ only in their coefficient starting values and RNG
-    streams, derived from the master seed and the chain index. Every
+    streams: chain c draws from ``Rng(seed, stream + (c,))``. Under the
+    empty stream those are the paths a cohort of the same seed draws its
+    variables from, so give a cell a stream or a seed of its own. Every
     starting state is built first, on the calling thread, so a failing
     start raises ``InitializationError`` before any scan. Then the chains
     run in W = ``_chain_workers(n, n_chains)`` lanes, as the module

@@ -291,6 +291,20 @@ def test_replicate_variant_subset_reproduces_full_grid_rows(tmp_path):
     assert typeA_rows[0] == typeA_rows[1]
 
 
+def test_adjust_reproduces_the_replicate_row(tmp_path):
+    """adjust draws from the cell's grid streams, never from the cohort's,
+    so on replicate's cohort with the same settings it gives that row's
+    R-hat."""
+    cfg = _tiny_replicate_config(tmp_path, None, variants=("typeA",))
+    rep, adj = tmp_path / "rep", tmp_path / "adj"
+    assert main(["replicate", "--config", str(cfg), "--out-dir", str(rep)]) in (0, 3)
+    argv = ["adjust", str(rep / "cohort.csv"), "--kind", "linear", "--prior", "typeA"]
+    assert main(argv + ["--config", str(cfg), "--out-dir", str(adj)]) in (0, 3)
+    (row,) = _read_table_csv(rep / "table_linear.csv")
+    (beta,) = [r for r in _read_table_csv(adj / "rhat_linear_typeA.csv") if r["parameter"] == "beta"]
+    assert beta["rhat"] == row["rhat"]
+
+
 def test_unknown_format_exits_before_sampling(tmp_path, monkeypatch, capsys):
     """So does an empty --kinds or --variants list, which would otherwise
     fall back to the whole grid."""

@@ -30,7 +30,7 @@ from meadjust import (
     simulate_cohort,
     write_traces,
 )
-from meadjust.experiment import adjust_cell
+from meadjust.experiment import adjust_cell, priors_for
 from meadjust.priors import NormalPrior, PriorSet, linear_priors, logistic_priors
 
 
@@ -68,6 +68,8 @@ def test_mcmc_config_validation():
                 McmcConfig(**{field: value})
     assert McmcConfig(n_chains=np.int64(2), seed=np.uint64(7)).n_chains == 2
     assert McmcConfig(keep=1000, thin=10).n_retained == 100
+    with pytest.raises(ParameterError, match=r"'Linear'.*\('linear', 'logistic'\)"):
+        priors_for("Linear", "typeA")
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["sequential", "threaded"])

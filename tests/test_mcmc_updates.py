@@ -87,8 +87,6 @@ def test_logistic_coeffs_prior_recovery():
     cache = mcmc._ScanCache(state, spec)
     for i in range(20_000):  # adaptation phase
         mcmc.update_logistic_coeffs(state, spec, cache)
-        state.iteration += 1
-        state.proposals["coeffs"].end_scan(state.iteration)
     state.proposals["coeffs"].freeze()
     draws = np.empty(100_000)
     for i in range(len(draws)):
@@ -119,8 +117,6 @@ def test_logistic_coeffs_bvm_vs_mle():
     cache = mcmc._ScanCache(state, spec)
     for _ in range(3000):
         mcmc.update_logistic_coeffs(state, spec, cache)
-        state.iteration += 1
-        state.proposals["coeffs"].end_scan(state.iteration)
     state.proposals["coeffs"].freeze()
     draws = np.empty(20_000)
     for i in range(len(draws)):
@@ -202,9 +198,6 @@ def test_mu_lognormal_prior_washout_matches_normal():
         mus = []
         for i in range(2500):
             mcmc.update_mu_x_tau_x(state, spec, cache)
-            state.iteration += 1
-            for proposal in state.proposals.values():
-                proposal.end_scan(state.iteration)
             if i >= 500:
                 mus.append(state.mu_x)
         results[type(prior).__name__] = np.mean(mus)
@@ -256,8 +249,40 @@ def test_mu_x_walk_never_underflows_to_zero():
     spec = _linear_spec(w, np.zeros(1000), priors=priors)
     state = _state(spec, rng_seed=73)
     state.proposals["mu_x"].scale = 2000.0
+    state.proposals["mu_x"].freeze()  # every step at this scale
     cache = mcmc._ScanCache(state, spec)
     for _ in range(50):
         mcmc.update_mu_x_tau_x(state, spec, cache)
         assert state.mu_x > 0.0
     assert state.proposals["mu_x"].accepted > 0
+
+
+def test_proposal_adapts_on_its_own_scan_count():
+    """The step size moves only after the 49th, 99th, ... record, the
+    covariance factor only at update counts 100, 125, ...; neither moves
+    once frozen."""
+    proposal = mcmc.Proposal(scale=1.0, target=0.44)
+    scales = [proposal.scale]
+    for _ in range(120):
+        proposal.record(0, 1)
+        scales.append(proposal.scale)
+    assert [i for i in range(1, 121) if scales[i] != scales[i - 1]] == [49, 99]
+    proposal.freeze()
+    for _ in range(100):
+        proposal.record(0, 1)
+    assert proposal.scale == scales[-1] and proposal.attempts == 100
+
+    proposal = mcmc.Proposal(scale=1.0, target=0.234, dim=2)
+    x = np.random.default_rng(5).normal(size=(140, 2))
+    refreshed = []
+    for count in range(1, 141):
+        chol = proposal.chol
+        proposal.update_cov(x[count - 1])
+        if proposal.chol is not chol:
+            refreshed.append(count)
+    assert refreshed == [100, 125]
+    proposal.freeze()
+    chol = proposal.chol
+    for _ in range(50):
+        proposal.update_cov(x[0])
+    assert proposal.chol is chol and proposal.count == 140

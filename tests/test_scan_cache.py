@@ -115,6 +115,8 @@ def test_carried_cache_equals_a_fresh_evaluation(kind, transform, mu_x_family):
     for block in ("latent", "structural"):
         proposal = state.proposals[block]
         assert 0 < proposal.accepted < proposal.attempts, block
+    # a proposal's own scan count is its adaptation clock
+    assert {block: p.scans for block, p in state.proposals.items()} == dict.fromkeys(state.proposals, 150)
     state = mcmc.initial_state(spec, "paper_replication", 1, Rng(31, (1,)))
     cache.start(state, spec)
     _assert_cache_is_fresh(state, spec, cache)
