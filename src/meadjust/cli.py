@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .cohort import read_cohort, simulate_cohort, write_cohort
+from .diagnostics import RHAT_GATE
 from .errors import NumericalError, ParameterError
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
@@ -187,6 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand implementations
 
 
+def _report(args, provenance, tables, lines=(), written=()) -> None:
+    """Write each (name, rows, title) table under args.out_dir in the
+    args.format formats, then print the summary lines and one 'wrote PATH'
+    line per file: first the already written ones, then the tables'."""
+    written = list(written)
+    for name, rows, title in tables:
+        written += write_table(os.path.join(args.out_dir, name), rows, args.format, provenance, title=title)
+    for line in lines:
+        print(line)
+    for path in written:
+        print(f"wrote {path}")
+
+
+def _cohort_provenance(cohort, **extra) -> dict:
+    return provenance_block(
+        cohort_config=dataclasses.asdict(cohort.config) if cohort.config else None, **extra
+    )
+
+
 def _cmd_simulate(args) -> int:
     cohort = simulate_cohort(_load_config(args).cohort)
     out = args.out or os.path.join(args.out_dir, "cohort.csv")
@@ -210,105 +230,72 @@ def _cmd_naive(args) -> int:
     if args.kind == "logistic":
         label, estimate, lo, hi = "OR", math.exp(estimate), math.exp(lo), math.exp(hi)
         row.update(odds_ratio=estimate, or_ci95_lo=lo, or_ci95_hi=hi)
-    prov = provenance_block(
-        cohort_config=dataclasses.asdict(cohort.config) if cohort.config else None,
-        command="naive",
-        kind=args.kind,
-        log_exposure=args.log_exposure,
+    _report(
+        args,
+        _cohort_provenance(cohort, command="naive", kind=args.kind, log_exposure=args.log_exposure),
+        [(f"naive_{args.kind}", [row], f"Naive {args.kind} fit")],
+        [f"naive {args.kind}: {label} {estimate:.4g} (95% CI {lo:.4g} to {hi:.4g})"],
     )
-    base = os.path.join(args.out_dir, f"naive_{args.kind}")
-    written = write_table(base, [row], args.format, prov, title=f"Naive {args.kind} fit")
-    print(f"naive {args.kind}: {label} {estimate:.4g} (95% CI {lo:.4g} to {hi:.4g})")
-    for path in written:
-        print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_adjust(args) -> int:
     mcmc = _load_config(args).mcmc
     cohort = read_cohort(args.cohort)
-    transform = "log" if args.log_exposure else "identity"
-    cell = adjust_cell(
-        cohort,
-        args.kind,
-        args.prior,
-        mcmc,
-        exposure_transform=transform,
-        mu_x_normal=args.mu_x_normal,
-    )
-    prov = provenance_block(
-        cohort_config=dataclasses.asdict(cohort.config) if cohort.config else None,
-        command="adjust",
-        kind=args.kind,
-        prior=args.prior,
-        mcmc=dataclasses.asdict(mcmc),
-        exposure_transform=transform,
-        mu_x_normal=args.mu_x_normal,
+    options = dict(exposure_transform="log" if args.log_exposure else "identity", mu_x_normal=args.mu_x_normal)
+    cell = adjust_cell(cohort, args.kind, args.prior, mcmc, **options)
+    prov = _cohort_provenance(
+        cohort, command="adjust", kind=args.kind, prior=args.prior, mcmc=dataclasses.asdict(mcmc), **options
     )
     tag = f"{args.kind}_{args.prior}"
-    written = write_table(
-        os.path.join(args.out_dir, f"rhat_{tag}"),
-        rhat_rows(cell),
-        args.format,
-        prov,
-        title=f"Convergence, {args.kind} model, {args.prior} prior",
-    )
-    if args.emit_traces:
-        written += write_traces(cell.samples, args.out_dir, prefix=f"trace_{tag}")
+    traces = write_traces(cell.samples, args.out_dir, prefix=f"trace_{tag}") if args.emit_traces else []
+    tables = [(f"rhat_{tag}", rhat_rows(cell), f"Convergence, {args.kind} model, {args.prior} prior")]
     if not cell.converged:
-        for path in written:
-            print(f"wrote {path}")
+        _report(args, prov, tables, written=traces)
         print(
-            f"convergence gate failed (R-hat >= 1.1) for: {', '.join(cell.gate_failures)}; "
+            f"convergence gate failed (R-hat >= {RHAT_GATE}) for: {', '.join(cell.gate_failures)}; "
             "summaries withheld",
             file=sys.stderr,
         )
         return EXIT_GATE
-    written += write_table(
-        os.path.join(args.out_dir, f"summary_{tag}"),
-        summary_rows(cell),
-        args.format,
-        prov,
-        title=f"Posterior summaries, {args.kind} model, {args.prior} prior",
+    tables.append(
+        (f"summary_{tag}", summary_rows(cell), f"Posterior summaries, {args.kind} model, {args.prior} prior")
     )
     t = cell.target
-    print(
+    line = (
         f"{args.kind} / {args.prior}: {t.parameter} mean {t.mean:.4g}, "
         f"95% CrI ({t.p2_5:.4g}, {t.p97_5:.4g}), rhat {cell.target_rhat:.4g}"
     )
-    for path in written:
-        print(f"wrote {path}")
+    _report(args, prov, tables, [line], written=traces)
     return EXIT_OK
 
 
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
     cohort = simulate_cohort(cfg.cohort)
-    write_cohort(cohort, os.path.join(args.out_dir, "cohort.csv"))
+    written = [os.path.join(args.out_dir, "cohort.csv")]
+    write_cohort(cohort, written[0])
     results = run_replication_grid(cfg, cohort)
 
     prov = provenance_block(cfg, command="replicate")
     any_unconverged = False
     for kind, cells in results.items():
         rows = replication_rows(cells)
-        written = write_table(
-            os.path.join(args.out_dir, f"table_{kind}"),
-            rows,
-            args.format,
-            prov,
-            title=f"Posterior of the {'odds ratio' if kind == 'logistic' else 'slope'} "
-            f"under each measurement-error precision prior ({kind} model)",
-        )
+        lines = []
         for row in rows:
             status = "ok" if row["converged"] else "UNCONVERGED"
-            print(
+            lines.append(
                 f"{kind:9s} {row['prior']:14s} mean {row['mean']:9.4g} "
                 f"CrI ({row['p2_5']:9.4g}, {row['p97_5']:9.4g}) "
                 f"null-in-CrI={'yes' if row['cri_contains_null'] else 'no'} [{status}]"
             )
             any_unconverged |= not row["converged"]
-        for path in written:
-            print(f"wrote {path}")
+        title = (
+            f"Posterior of the {'odds ratio' if kind == 'logistic' else 'slope'} "
+            f"under each measurement-error precision prior ({kind} model)"
+        )
+        _report(args, prov, [(f"table_{kind}", rows, title)], lines, written)
+        written = ()  # the cohort is named with the first kind's tables only
     return EXIT_GATE if any_unconverged else EXIT_OK
 
 
@@ -353,17 +340,8 @@ def _cmd_evidence(args) -> int:
         sigma_b=args.sigma_b,
         noise_precision=args.noise_precision,
     )
-    written = write_table(
-        os.path.join(args.out_dir, "evidence"),
-        rows,
-        args.format,
-        prov,
-        title="Evidence ratio for the null vs a positive association",
-    )
-    for row in rows:
-        print(f"n={row['n']:6d} p_null={row['p_null']:6.3g} delta={row['delta']:.4g}")
-    for path in written:
-        print(f"wrote {path}")
+    lines = [f"n={row['n']:6d} p_null={row['p_null']:6.3g} delta={row['delta']:.4g}" for row in rows]
+    _report(args, prov, [("evidence", rows, "Evidence ratio for the null vs a positive association")], lines)
     return EXIT_OK
 
 

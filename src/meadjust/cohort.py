@@ -15,6 +15,7 @@ defines the format and names the line of every error.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -161,13 +162,19 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 def write_atomic(path, chunks) -> None:
     """Write the text chunks, in order and as given (no newline
     translation), to a temporary sibling of path, then move it into place:
-    a reader never sees a half-written file. Creates path's directory."""
+    a reader never sees a half-written file. Creates path's directory; a
+    failed or interrupted write removes the temporary file."""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _row_blocks(cohort: Cohort):

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, file outputs, exit codes,
 determinism, and format consistency."""
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import meadjust.cli as cli
 import meadjust.experiment as experiment
 from meadjust import CohortConfig, read_cohort, simulate_cohort, write_cohort
 from meadjust.cli import main
+from meadjust.diagnostics import RHAT_GATE
 
 
 def _read_table_csv(path):
@@ -65,6 +67,16 @@ def test_simulate_invalid_pi_names_parameter(tmp_path, capsys):
     rc = main(["simulate", "--pi", "1.5", "--out", str(tmp_path / "c.csv")])
     assert rc == 2
     assert "pi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name", [("--out-dir", ""), ("--out", "cohort.csv/")], ids=["out-dir", "out"])
+def test_simulate_failed_write_leaves_nothing_new(tmp_path, capsys, flag, name):
+    """A cohort that cannot be moved into place exits 2 and leaves no
+    temporary file behind."""
+    (tmp_path / "cohort.csv").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["simulate", "--n", "20", flag, str(tmp_path) + "/" + name]) == 2
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -134,22 +146,22 @@ def test_adjust_outputs_and_determinism(tmp_path):
         assert {r["parameter"] for r in rows} >= {"beta0", "beta", "tau_e", "tau_x", "mu_x"}
 
 
+def _force_rhat(monkeypatch, rhat):
+    """Make every R-hat of cli.adjust_cell's cells read rhat."""
+    real_adjust_cell = cli.adjust_cell
+
+    def cell_with_rhat(*args, **kwargs):
+        cell = real_adjust_cell(*args, **kwargs)
+        cell.rhats = [dataclasses.replace(r, rhat=rhat) for r in cell.rhats]
+        return cell
+
+    monkeypatch.setattr(cli, "adjust_cell", cell_with_rhat)
+
+
 def test_adjust_gate_failure_withholds_summaries(tmp_path, monkeypatch, capsys):
     cohort_file = _write_cohort_file(tmp_path, n=100, seed=5)
     out_dir = tmp_path / "out"
-
-    real_adjust_cell = cli.adjust_cell
-
-    def unconverged_cell(*args, **kwargs):
-        cell = real_adjust_cell(*args, **kwargs)
-        cell.rhats = [
-            type(r)(parameter=r.parameter, rhat=2.0, chain_means=r.chain_means,
-                    chain_variances=r.chain_variances)
-            for r in cell.rhats
-        ]
-        return cell
-
-    monkeypatch.setattr(cli, "adjust_cell", unconverged_cell)
+    _force_rhat(monkeypatch, 2.0)
     rc = main([
         "adjust", str(cohort_file), "--kind", "linear", "--prior", "typeA",
         "--chains", "2", "--burn-in", "50", "--keep", "200", "--thin", "2",
@@ -158,7 +170,33 @@ def test_adjust_gate_failure_withholds_summaries(tmp_path, monkeypatch, capsys):
     assert rc == 3
     assert (out_dir / "rhat_linear_typeA.csv").exists()
     assert not (out_dir / "summary_linear_typeA.csv").exists()
-    assert "gate" in capsys.readouterr().err
+    assert f"gate failed (R-hat >= {RHAT_GATE})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["naive", "adjust", "adjust-unconverged", "replicate", "evidence"])
+def test_every_written_file_is_named_once(tmp_path, monkeypatch, capsys, command):
+    """Each table-writing command prints one 'wrote PATH' line for each
+    file it leaves under --out-dir, and no other."""
+    cohort_file = _write_cohort_file(tmp_path, n=100, seed=5)
+    out_dir = tmp_path / "out"
+    if command.startswith("adjust"):
+        _force_rhat(monkeypatch, 2.0 if command == "adjust-unconverged" else 1.0)
+    argv = {
+        "naive": ["naive", str(cohort_file), "--kind", "logistic"],
+        "adjust": [
+            "adjust", str(cohort_file), "--kind", "linear", "--chains", "2", "--burn-in", "50",
+            "--keep", "200", "--thin", "2", "--seed", "1", "--emit-traces",
+        ],
+        "replicate": [
+            "replicate", "--config", str(_tiny_replicate_config(tmp_path, out_dir, kinds=("linear", "logistic"))),
+        ],
+        "evidence": ["evidence"],
+    }[command.removesuffix("-unconverged")]
+    rc = main(argv + ["--out-dir", str(out_dir)])
+    assert rc in {"adjust-unconverged": (3,), "replicate": (0, 3)}.get(command, (0,))
+    wrote = [ln.removeprefix("wrote ") for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
+    assert len(wrote) == len(set(wrote))
+    assert sorted(wrote) == sorted(str(p) for p in out_dir.rglob("*") if p.is_file())
 
 
 def test_adjust_initialization_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -176,6 +176,23 @@ def test_written_bytes_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_COHORT_SHA256
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    """A write whose move fails, or that is interrupted while writing,
+    re-raises and removes its temporary file."""
+    target = tmp_path / "cohort.csv"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_cohort(simulate_cohort(CohortConfig(n=20, seed=1)), target)
+
+    def interrupted():
+        yield "x_true,w_obs,y,z\r\n"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cohort_module.write_atomic(tmp_path / "other.csv", interrupted())
+    assert [p.name for p in tmp_path.iterdir()] == ["cohort.csv"]
+
+
 def _outcome(reader, path):
     """What a reader makes of a file: the bytes of its arrays and its config,
     or the type and message of its error."""
