@@ -273,9 +273,10 @@ def _cmd_adjust(args) -> int:
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
     cohort = simulate_cohort(cfg.cohort)
+    results = run_replication_grid(cfg, cohort)
+    # written once the grid has run, so a refused grid leaves no file
     written = [os.path.join(args.out_dir, "cohort.csv")]
     write_cohort(cohort, written[0])
-    results = run_replication_grid(cfg, cohort)
 
     prov = provenance_block(cfg, command="replicate")
     any_unconverged = False

@@ -14,11 +14,14 @@ the non-centred latents held fixed (Papaspiliopoulos, Roberts & Sköld 2007).
 
 Each random-walk block owns one ``Proposal``: its step size, tuned towards
 a target acceptance rate, and for the 2-D logistic coefficients a running
-proposal covariance (Haario, Saksman & Tamminen 2001). A proposal adapts
-on its own scan count, when its block records the scan's acceptances.
-``_run_chain`` freezes it at burn-in, so retained draws come from a fixed
-kernel; from then on it counts the acceptances that
-``PosteriorSamples.acceptance_rates`` reports.
+proposal covariance (Haario, Saksman & Tamminen 2001). A random-walk block
+decides through its proposal: ``Proposal.accept`` takes the step's log
+ratio, decides and records the attempt, so the block records exactly once
+per scan. The latent block, which decides per subject and adapts nothing,
+records its scan's count itself. A proposal adapts on its own scan count,
+when its block records. ``_run_chain`` freezes it at burn-in, so retained
+draws come from a fixed kernel; from then on it counts the acceptances
+that ``PosteriorSamples.acceptance_rates`` reports.
 
 ``ModelSpec`` is the sampler's one view of the data: it owns log W,
 computed once, and ``covariate(l)``, the exposure the outcome model sees.
@@ -113,15 +116,6 @@ def _safe_exp(x, out=None):
     return np.exp(y, out=y)
 
 
-def _mh_accept(rng: Rng, logr: float) -> bool:
-    """Metropolis decision on a log ratio; NaN (invalid both ways) rejects."""
-    if logr >= 0.0:
-        return True
-    if math.isnan(logr):
-        return False
-    return math.log(1.0 - rng.uniform()) < logr
-
-
 # ---------------------------------------------------------------------------
 # Model specification
 
@@ -214,7 +208,8 @@ class Proposal:
     """Proposal of one Metropolis block and its adaptation.
 
     The step size follows a windowed Robbins-Monro rule towards ``target``,
-    on the proposal's own scan count: its block records once per scan. With
+    on the proposal's own scan count: its block records once per scan, a
+    random-walk block through ``accept``, which decides the step. With
     ``dim`` set, the block also learns a running proposal covariance
     (Haario-style adaptive Metropolis). Without a target there is nothing
     to adapt and the proposal only counts acceptances. ``freeze``, which
@@ -228,7 +223,6 @@ class Proposal:
         self.accepted = 0.0
         self.attempts = 0
         self.scans = 0
-        self.rounds = 0
         self.frozen = False
         if dim is not None:
             self.count = 0
@@ -242,16 +236,25 @@ class Proposal:
 
     def record(self, accepted, attempts):
         """Count one scan's acceptances; during burn-in, adapt the step size
-        after the 49th, 99th, ... scan (the off-by-one the pinned draws keep)."""
+        after the 49th, 99th, ... scan (the off-by-one the pinned draws keep),
+        the k-th time by a log step divided by sqrt(k)."""
         self.accepted += float(accepted)
         self.attempts += int(attempts)
         self.scans += 1
         if not self.frozen and self.target is not None and (self.scans + 1) % _ADAPT_WINDOW == 0:
-            self.rounds += 1
-            step = (self.rate - self.target) / math.sqrt(self.rounds)
+            step = (self.rate - self.target) / math.sqrt((self.scans + 1) // _ADAPT_WINDOW)
             self.scale *= math.exp(max(-0.7, min(0.7, step)))
             self.accepted = 0.0
             self.attempts = 0
+
+    def accept(self, rng: Rng, logr: float) -> bool:
+        """Metropolis decision on a log ratio, recorded as one attempt of the
+        scan: a ratio of 0 or more accepts and a NaN one (invalid both ways)
+        rejects, each without a draw; else one uniform u accepts when
+        log(1 - u) < logr."""
+        accepted = logr >= 0.0 or (not math.isnan(logr) and math.log(1.0 - rng.uniform()) < logr)
+        self.record(accepted, 1)
+        return accepted
 
     def step(self, rng: Rng) -> np.ndarray:
         return self.scale * (self.chol @ rng.standard_normal(len(self.mean)))
@@ -454,11 +457,9 @@ def update_logistic_coeffs(state: ChainState, spec: ModelSpec, cache: _ScanCache
         return priors.coeff0.logpdf(c0) + priors.coeff.logpdf(c1) + float(outcome_terms.sum())
 
     logr = log_target(prop0, prop1, terms_prop) - log_target(state.coeff0, state.coeff, cache.terms)
-    accepted = _mh_accept(state.rng, logr)
-    if accepted:
+    if proposal.accept(state.rng, logr):
         state.coeff0, state.coeff = float(prop0), float(prop1)
         cache.terms, cache.work[2] = terms_prop, cache.terms
-    proposal.record(accepted, 1)
     proposal.update_cov(np.array([state.coeff0, state.coeff]))
 
 
@@ -512,16 +513,16 @@ def update_mu_x_tau_x(state: ChainState, spec: ModelSpec, cache: _ScanCache):
         post_mean = (priors.mu_x.mean / priors.mu_x.variance + state.tau_x * l_sum) / post_prec
         state.mu_x = post_mean + state.rng.standard_normal() / math.sqrt(post_prec)
     else:  # lognormal prior: a random walk in a = log mu_x, where the prior is normal
+        proposal = state.proposals["mu_x"]
         a_cur = math.log(state.mu_x)
-        a_prop = a_cur + state.proposals["mu_x"].scale * state.rng.standard_normal()
+        a_prop = a_cur + proposal.scale * state.rng.standard_normal()
         mu_cur, mu_prop = math.exp(min(a_cur, _EXP_CAP)), math.exp(min(a_prop, _EXP_CAP))
         log_prior = priors.mu_x.log_axis.logpdf
         logr = log_prior(a_prop) - log_prior(a_cur) + _population_log_ratio(n, l_sum, state.tau_x, mu_cur, mu_prop)
-        # a step below a = -745 underflows exp(a) to 0, where log(mu_x) fails
-        accepted = mu_prop > 0.0 and _mh_accept(state.rng, logr)
-        if accepted:
+        # a step below a = -745 underflows exp(a) to 0, where log(mu_x) fails:
+        # it rejects as NaN does, without a draw
+        if proposal.accept(state.rng, logr if mu_prop > 0.0 else math.nan):
             state.mu_x = mu_prop
-        state.proposals["mu_x"].record(accepted, 1)
 
     resid = np.subtract(state.l, state.mu_x, out=cache.work[0])
     state.tau_x = _draw_precision(state, resid, priors.tau_x)
@@ -576,15 +577,13 @@ def update_structural(state: ChainState, spec: ModelSpec, cache: _ScanCache):
         + float(terms_prop.sum())
         - float(cache.terms.sum())
     )
-    accepted = _mh_accept(state.rng, logr)
-    if accepted:
+    if proposal.accept(state.rng, logr):
         state.tau_x = tau_x_prop
         state.tau_e = tau_e_prop
         if t_prop is not l_prop:
             cache.work[0] = cache.t
         cache.work[1], cache.work[2] = state.l, cache.terms
         state.l, cache.t, cache.terms = l_prop, t_prop, terms_prop
-    proposal.record(accepted, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +602,8 @@ def _scan(state: ChainState, spec: ModelSpec, cache: _ScanCache):
     """One full sweep: each block of ``_blocks(spec.kind)`` in turn; that
     order is the kernel's. ``cache`` is the scan cache at this state and
     spec, updated in place. Each Metropolis block records into its proposal
-    once per scan, and the proposal adapts there.
+    once per scan, a random-walk block through ``Proposal.accept``, and the
+    proposal adapts there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(spec.kind):

@@ -368,6 +368,20 @@ def test_adjust_unsummarisable_draws_exit_before_sampling(tmp_path, monkeypatch,
         assert message in capsys.readouterr().err, flags
 
 
+def test_replicate_refused_draw_counts_write_nothing(tmp_path, monkeypatch, capsys):
+    """A replicate grid whose draw counts cannot be summarised exits 2
+    before any sampling and writes nothing, not even the cohort."""
+    monkeypatch.setattr(experiment, "run_chains", _no_sampling)
+    config = tmp_path / "config.json"
+    for mcmc_config, message in (({"n_chains": 1}, "chains"), ({"n_chains": 20, "keep": 5, "thin": 1}, "too short")):
+        config.write_text(json.dumps({"mcmc": mcmc_config}))
+        out_dir = tmp_path / "o"
+        argv = ["replicate", "--n", "50", "--kinds", "linear", "--variants", "typeA", "--config", str(config)]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 2, mcmc_config
+        assert message in capsys.readouterr().err, mcmc_config
+        assert not out_dir.exists(), mcmc_config
+
+
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, monkeypatch, capsys):
     cohort_file = _write_cohort_file(tmp_path, n=100, seed=6)
     config = tmp_path / "config.json"

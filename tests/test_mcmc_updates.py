@@ -230,13 +230,51 @@ def test_population_log_ratio_overflow_rejects():
     for mu, mu_prop in ((1.0, cap), (cap, cap)):
         logr = mcmc._population_log_ratio(len(l), float(l.sum()), 1.0, mu, mu_prop)
         assert logr == -math.inf or math.isnan(logr)
-        assert not mcmc._mh_accept(Rng(0), logr)
+        assert not mcmc.Proposal().accept(Rng(0), logr)
+
+
+class _CountingRng(Rng):
+    """An Rng that keeps its scalar normal draws and counts its uniform
+    calls; its draws are those of Rng(seed)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.normals, self.uniforms = [], 0
+
+    def standard_normal(self, size=None, out=None):
+        z = super().standard_normal(size, out)
+        self.normals.append(z)
+        return z
+
+    def uniform(self, size=None, out=None):
+        self.uniforms += 1
+        return super().uniform(size, out)
+
+
+def test_proposal_accept_draws_a_uniform_only_to_decide():
+    """A log ratio of 0 or more accepts and a NaN one rejects, neither
+    drawing: the next draw is a fresh stream's first. A negative one draws
+    exactly one uniform u and accepts when log(1 - u) < logr. Every call
+    records one attempt."""
+    fresh = Rng(3)
+    first, second = fresh.uniform(), fresh.uniform()
+    proposal = mcmc.Proposal()
+    logrs = (0.0, 2.5, math.nan, -math.inf, -1.0, math.log(1.0 - first) - 1e-9, math.log(1.0 - first) + 1e-9)
+    outcomes = []
+    for i, logr in enumerate(logrs, 1):
+        rng = Rng(3)
+        outcomes.append(proposal.accept(rng, logr))
+        assert rng.uniform() == (first if logr >= 0.0 or math.isnan(logr) else second), logr
+        assert proposal.attempts == proposal.scans == i
+    assert outcomes == [True, True, False, False, math.log(1.0 - first) < -1.0, False, True]
+    assert proposal.accepted == sum(outcomes)
 
 
 def test_mu_x_walk_never_underflows_to_zero():
     """A lognormal mu_x prior wide enough that the log-axis walk steps below
-    a = -745, where exp(a) underflows to 0: such steps reject, so mu_x stays
-    positive and the next step can take its log."""
+    a = -745, where exp(a) underflows to 0: such steps reject without
+    drawing a uniform and record one attempt, so mu_x stays positive and
+    the next step can take its log."""
     w = np.random.default_rng(71).lognormal(size=1000)
     priors = PriorSet(
         coeff0=NormalPrior(0.0, 100.0),
@@ -247,14 +285,21 @@ def test_mu_x_walk_never_underflows_to_zero():
         tau_eps=GammaParams(1.0, 1.0),
     )
     spec = _linear_spec(w, np.zeros(1000), priors=priors)
-    state = _state(spec, rng_seed=73)
-    state.proposals["mu_x"].scale = 2000.0
-    state.proposals["mu_x"].freeze()  # every step at this scale
+    state = _state(spec, rng=_CountingRng(73))
+    proposal = state.proposals["mu_x"]
+    proposal.scale = 2000.0
+    proposal.freeze()  # every step at this scale
     cache = mcmc._ScanCache(state, spec)
-    for _ in range(50):
+    underflows = 0
+    for i in range(50):
+        mu_x, uniforms = state.mu_x, state.rng.uniforms
         mcmc.update_mu_x_tau_x(state, spec, cache)
         assert state.mu_x > 0.0
-    assert state.proposals["mu_x"].accepted > 0
+        assert proposal.attempts == i + 1
+        if math.log(mu_x) + 2000.0 * state.rng.normals[-1] < -746.0:  # exp underflows to 0
+            underflows += 1
+            assert state.mu_x == mu_x and state.rng.uniforms == uniforms
+    assert underflows > 0 and proposal.accepted > 0
 
 
 def test_proposal_adapts_on_its_own_scan_count():
