@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .cohort import read_cohort, simulate_cohort, write_cohort
+from .cohort import CohortConfig, read_cohort, simulate_cohort, write_cohort
 from .diagnostics import RHAT_GATE
 from .errors import NumericalError, ParameterError
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
@@ -31,7 +31,7 @@ from .experiment import (
     write_table,
     write_traces,
 )
-from .mcmc import MODEL_KINDS
+from .mcmc import MODEL_KINDS, McmcConfig
 from .naive import fit_linear, fit_logistic
 from .priors import PRIOR_VARIANT_ORDER
 from .rng import Rng
@@ -85,6 +85,17 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str):
         parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, config_type) -> None:
+    """One flag per field of the config dataclass but seed (a common flag):
+    --<field with dashes>, or --chains for n_chains, with the field's name
+    as dest, the type of its default and the choices its metadata names."""
+    for f in dataclasses.fields(config_type):
+        if f.name != "seed":
+            flag = "--chains" if f.name == "n_chains" else "--" + f.name.replace("_", "-")
+            choices = f.metadata.get("choices")
+            parser.add_argument(flag, dest=f.name, type=type(f.default), default=None, choices=choices)
+
+
 def _override(config, args):
     """config with each field replaced by the flag of the same dest, where
     that flag was given; nested configs are resolved field by field, so
@@ -123,15 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a cohort CSV")
     _add_common(p_sim, "--seed", "--config", "--out-dir")
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--mu-x", type=float, default=None)
-    p_sim.add_argument("--tau-x", type=float, default=None)
-    p_sim.add_argument("--tau-e", type=float, default=None)
-    p_sim.add_argument("--pi", type=float, default=None)
-    p_sim.add_argument("--beta-true", type=float, default=None)
-    p_sim.add_argument("--alpha-true", type=float, default=None)
-    p_sim.add_argument("--tau-y", type=float, default=None)
-    p_sim.add_argument("--outcome-kind", choices=["continuous", "binary", "both"], default=None)
+    _add_config_flags(p_sim, CohortConfig)
     p_sim.add_argument("--out", default=None, help="cohort file path (default OUT_DIR/cohort.csv)")
 
     p_naive = sub.add_parser("naive", help="naive frequentist fit on a cohort file")
@@ -147,13 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adj.add_argument("cohort")
     p_adj.add_argument("--kind", choices=MODEL_KINDS, required=True)
     p_adj.add_argument("--prior", choices=list(PRIOR_VARIANT_ORDER), default="uninformative")
-    p_adj.add_argument("--chains", dest="n_chains", type=int, default=None)
-    p_adj.add_argument("--burn-in", type=int, default=None)
-    p_adj.add_argument("--keep", type=int, default=None)
-    p_adj.add_argument("--thin", type=int, default=None)
-    p_adj.add_argument(
-        "--init-strategy", choices=["paper_replication", "naive_start"], default=None
-    )
+    _add_config_flags(p_adj, McmcConfig)
     p_adj.add_argument("--log-exposure", action="store_true")
     p_adj.add_argument(
         "--mu-x-normal",

@@ -34,6 +34,8 @@ __all__ = ["CohortConfig", "Cohort", "simulate_cohort", "write_cohort", "read_co
 # stream ids under the cohort seed, one per simulated variable
 _STREAM_X, _STREAM_E, _STREAM_Y, _STREAM_Z = 0, 1, 2, 3
 
+OUTCOME_KINDS = ("continuous", "binary", "both")
+
 
 def require_integers(config, names) -> None:
     """Raise ParameterError unless each named field of config holds an
@@ -50,7 +52,7 @@ class CohortConfig:
     mu_x: float = 0.0
     tau_x: float = 1.0
     tau_e: float = 1.0
-    outcome_kind: str = "both"  # continuous | binary | both
+    outcome_kind: str = dataclasses.field(default="both", metadata={"choices": OUTCOME_KINDS})
     pi: float = 0.05
     beta_true: float = 0.0  # continuous-outcome slope on log X (0 = null)
     alpha_true: float = 0.0  # logistic slope on log X (0 = null)
@@ -73,7 +75,7 @@ class CohortConfig:
                 raise ParameterError(f"{name} must be > 0, got {v}")
         if not (0.0 < self.pi < 1.0):
             raise ParameterError(f"pi must lie in (0, 1), got {self.pi}")
-        if self.outcome_kind not in ("continuous", "binary", "both"):
+        if self.outcome_kind not in OUTCOME_KINDS:
             raise ParameterError(f"unknown outcome_kind {self.outcome_kind!r}")
 
 

@@ -90,7 +90,7 @@ import numpy as np
 
 from .cohort import Cohort, require_integers
 from .errors import InitializationError, ParameterError
-from .naive import _dot, expit, fit_linear, fit_logistic, logistic_terms
+from .naive import _dot, expit, finite_vector, fit_linear, fit_logistic, logistic_terms
 from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 
@@ -147,14 +147,12 @@ class ModelSpec:
             raise ParameterError(f"unknown model kind {self.kind!r}")
         if self.exposure_transform not in ("identity", "log"):
             raise ParameterError(f"unknown exposure_transform {self.exposure_transform!r}")
-        w = np.asarray(self.w, dtype=float)
-        out = np.asarray(self.outcome, dtype=float)
+        w = finite_vector(self.w, "w")
+        out = finite_vector(self.outcome, "outcome")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "outcome", out)
         if len(w) != len(out):
             raise ParameterError("w and outcome must have equal length")
-        if not (np.isfinite(w).all() and np.isfinite(out).all()):
-            raise ParameterError("w and outcome must be finite")
         if np.any(w <= 0):
             raise ParameterError("observed exposures must be strictly positive")
         if self.kind == "linear" and self.priors.tau_eps is None:
@@ -687,6 +685,9 @@ def _check_finite_at_init(state: ChainState, spec: ModelSpec):
             raise InitializationError(name, f"log-posterior term = {value}")
 
 
+INIT_STRATEGIES = ("paper_replication", "naive_start")
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     n_chains: int = 3
@@ -694,7 +695,7 @@ class McmcConfig:
     keep: int = 8000
     thin: int = 8
     seed: int = 0
-    init_strategy: str = "paper_replication"
+    init_strategy: str = field(default="paper_replication", metadata={"choices": INIT_STRATEGIES})
 
     def __post_init__(self):
         require_integers(self, ("n_chains", "burn_in", "keep", "thin", "seed"))
@@ -710,7 +711,7 @@ class McmcConfig:
             raise ParameterError("thin must be >= 1")
         if self.keep % self.thin != 0:
             raise ParameterError(f"keep ({self.keep}) must be a multiple of thin ({self.thin})")
-        if self.init_strategy not in ("paper_replication", "naive_start"):
+        if self.init_strategy not in INIT_STRATEGIES:
             raise ParameterError(f"unknown init_strategy {self.init_strategy!r}")
 
     @property

@@ -51,10 +51,20 @@ class FitResult:
         )
 
 
+def finite_vector(values, name: str) -> np.ndarray:
+    """values as a float array; ParameterError unless it is 1-D and finite."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1:
+        raise ParameterError(f"{name} must be 1-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} must be finite")
+    return a
+
+
 def fit_linear(w, y) -> FitResult:
     """OLS of y on w with the classical slope standard error."""
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
+    w = finite_vector(w, "w")
+    y = finite_vector(y, "y")
     n = len(w)
     if len(y) != n:
         raise ParameterError(f"length mismatch: {n} vs {len(y)}")
@@ -145,8 +155,8 @@ def fit_logistic(w, z) -> FitResult:
     decreases. converged=False (no exception) when the score norm never falls
     below the tolerance, which is the complete-separation signature.
     """
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
+    w = finite_vector(w, "w")
+    z = finite_vector(z, "z")
     n = len(w)
     if len(z) != n:
         raise ParameterError(f"length mismatch: {n} vs {len(z)}")

@@ -1,5 +1,7 @@
 """Public names that the README's library use and the benchmark rely on
 must keep resolving, so that a deletion cannot quietly break either; the
+package root must export nothing else that the tests and the benchmark do
+not read, so that an unused export cannot return unnoticed; the
 benchmark's tracer must see every sampler block; and the CLI must not
 import modules it does not use."""
 import ast
@@ -23,16 +25,42 @@ def test_all_names_resolve():
     assert not missing
 
 
-def test_readme_library_use_imports():
+def _readme_library_imports():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    imports = [node for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)]
+    return [node for node in ast.parse(block).body if isinstance(node, ast.ImportFrom)]
+
+
+def _root_names_read_by(paths):
+    """The names each file reads from the package root, as
+    `from meadjust import NAME` or `meadjust.NAME`."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "meadjust" and node.level == 0:
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "meadjust":
+                names.add(node.attr)
+    return names
+
+
+def test_readme_library_use_imports():
+    imports = _readme_library_imports()
     assert imports
     for node in imports:
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_root_exports_only_what_the_readme_tests_or_benchmark_read():
+    """Every root export is imported by the README's library use or read
+    from the root by a test or the benchmark; every other public name
+    lives in its own module."""
+    allowed = {alias.name for node in _readme_library_imports() if node.module == "meadjust" for alias in node.names}
+    allowed |= _root_names_read_by([*(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")])
+    assert sorted(set(meadjust.__all__) - allowed) == []
 
 
 def _load_tracing():

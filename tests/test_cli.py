@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, file outputs, exit codes,
 determinism, and format consistency."""
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -11,7 +12,7 @@ import pytest
 
 import meadjust.cli as cli
 import meadjust.experiment as experiment
-from meadjust import CohortConfig, read_cohort, simulate_cohort, write_cohort
+from meadjust import CohortConfig, McmcConfig, read_cohort, simulate_cohort, write_cohort
 from meadjust.cli import main
 from meadjust.diagnostics import RHAT_GATE
 
@@ -380,6 +381,45 @@ def test_replicate_refused_draw_counts_write_nothing(tmp_path, monkeypatch, caps
         assert main(argv + ["--out-dir", str(out_dir)]) == 2, mcmc_config
         assert message in capsys.readouterr().err, mcmc_config
         assert not out_dir.exists(), mcmc_config
+
+
+@pytest.mark.parametrize(
+    "command, config_type, section",
+    [(["simulate"], CohortConfig, "cohort"), (["adjust", "c.csv", "--kind", "linear"], McmcConfig, "mcmc")],
+)
+def test_settings_flags_are_the_config_fields(command, config_type, section):
+    """simulate has one flag per CohortConfig field and adjust one per
+    McmcConfig field, seed (a common flag) aside: --<field with dashes>, or
+    --chains for n_chains, with the field's name as dest; a value given on
+    the command line reaches the resolved config."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command[0]]._actions
+    base = getattr(experiment.ExperimentConfig(), section)
+    for f in dataclasses.fields(config_type):
+        if f.name == "seed":
+            continue
+        (action,) = [a for a in actions if a.dest == f.name]
+        flag = "--chains" if f.name == "n_chains" else "--" + f.name.replace("_", "-")
+        assert action.option_strings == [flag]
+        assert (action.type, action.default, action.choices) == (type(f.default), None, f.metadata.get("choices"))
+        default = getattr(base, f.name)
+        # twice the default keeps keep a multiple of thin and pi below 1
+        value = next(c for c in action.choices if c != default) if action.choices else 2 * default or 0.5
+        resolved = getattr(cli._load_config(parser.parse_args(command + [flag, str(value)])), section)
+        assert getattr(resolved, f.name) == value, flag
+        assert dataclasses.replace(resolved, **{f.name: default}) == base, flag
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["simulate"], "--outcome-kind"), (["adjust", "c.csv", "--kind", "linear"], "--init-strategy")],
+)
+def test_settings_flags_refuse_unknown_choices(tmp_path, capsys, argv, flag):
+    assert _exit_code(argv + [flag, "foo", "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid choice: 'foo'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, monkeypatch, capsys):

@@ -321,6 +321,9 @@ def test_model_spec_rejects_non_finite():
         ({"kind": "probit"}, "model kind"),
         ({"exposure_transform": "sqrt"}, "exposure_transform"),
         ({"w": [1.0, 2.0, 3.0]}, "equal length"),
+        # refused at construction, not deep in the first scan
+        ({"w": np.ones((2, 2)), "outcome": np.ones((2, 2))}, "w must be 1-D"),
+        ({"outcome": [[0.0], [1.0]]}, "outcome must be 1-D"),
         ({"w": [1.0, 0.0]}, "strictly positive"),
         ({"priors": logistic_priors()}, "tau_eps"),
         ({"kind": "logistic"}, "takes no tau_eps"),

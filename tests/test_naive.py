@@ -75,6 +75,29 @@ def test_linear_degenerate_designs():
         fit_linear([1.0, 2.0, 3.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fits_refuse_non_finite_input(bad):
+    """A non-finite value is refused before any arithmetic, not turned into
+    a NaN fit or a numpy warning."""
+    y, z = [0.1, 1.2, 0.3, 1.5, 0.2], [0.0, 1.0, 0.0, 1.0, 1.0]
+    for fit, w, outcome, name in (
+        (fit_linear, [bad, 1.0, 2.0, 3.0, 4.0], y, "w"),
+        (fit_logistic, [bad, 1.0, 2.0, 3.0, 4.0], z, "w"),
+        (fit_linear, [0.0, 1.0, 2.0, 3.0, 4.0], [bad, *y[1:]], "y"),
+        (fit_logistic, [0.0, 1.0, 2.0, 3.0, 4.0], [bad, *z[1:]], "z"),
+    ):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            fit(w, outcome)
+
+
+def test_fits_refuse_input_that_is_not_a_vector():
+    w, y, z = np.arange(5.0), np.array([0.1, 1.2, 0.3, 1.5, 0.2]), np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    for fit, outcome in ((fit_linear, y), (fit_logistic, z)):
+        for args in ((np.column_stack([w, w]), outcome), (w, outcome[:, None]), (np.float64(1.0), outcome)):
+            with pytest.raises(ParameterError, match="must be 1-D"):
+                fit(*args)
+
+
 @pytest.mark.parametrize("value", [0.3, 1.0, 7.1])
 def test_constant_predictor_rejected(value):
     """Every w equal is a singular design for both fits, also where the mean
