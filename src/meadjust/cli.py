@@ -16,7 +16,7 @@ import numpy as np
 
 from .cohort import CohortConfig, read_cohort, simulate_cohort, write_cohort
 from .diagnostics import RHAT_GATE
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require_integer, require_positive
 from .evidence import HypothesisPriors, ToyData, delta, marginal_likelihood_null, marginal_likelihood_positive
 from .experiment import (
     REPORT_FORMATS,
@@ -302,11 +302,10 @@ def _cmd_evidence(args) -> int:
     p_nulls = _number_list(args.p_null, float, "--p-null")
     if not prefixes or not p_nulls:
         raise ParameterError("--prefixes and --p-null each need at least one value")
-    if prefixes[0] < 1:
-        raise ParameterError(f"--prefixes must be positive, got {prefixes[0]}")
-    for flag, value in (("--sigma-b", args.sigma_b), ("--noise-precision", args.noise_precision)):
-        if not (0 < value < math.inf):
-            raise ParameterError(f"{flag} must be finite and > 0, got {value}")
+    require_integer(prefixes[0], "--prefixes", 1)
+    require_integer(args.n, "--n", 1)
+    require_positive(args.sigma_b, "--sigma-b")
+    require_positive(args.noise_precision, "--noise-precision")
     n = max(args.n, max(prefixes))
     rng = Rng(args.seed, (9,))
     v = rng.standard_normal(n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CohortParseError, ParameterError
+from .errors import CohortParseError, ParameterError, finite_vector, require_choice, require_integer, require_positive
 from .naive import expit
 from .rng import Rng
 
@@ -35,15 +35,6 @@ __all__ = ["CohortConfig", "Cohort", "simulate_cohort", "write_cohort", "read_co
 _STREAM_X, _STREAM_E, _STREAM_Y, _STREAM_Z = 0, 1, 2, 3
 
 OUTCOME_KINDS = ("continuous", "binary", "both")
-
-
-def require_integers(config, names) -> None:
-    """Raise ParameterError unless each named field of config holds an
-    integer; numpy integers count, bools and integral floats do not."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,23 +51,17 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("n", "seed"))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got seed {self.seed}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        for name, minimum in {"n": 1, "seed": 0}.items():
+            require_integer(getattr(self, name), name, minimum)
         for name in ("mu_x", "beta_true", "alpha_true", "tau_x", "tau_e", "tau_y", "pi"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
                 raise ParameterError(f"{name} must be a finite real number, got {v!r}")
         for name in ("tau_x", "tau_e", "tau_y"):
-            v = getattr(self, name)
-            if not (v > 0):
-                raise ParameterError(f"{name} must be > 0, got {v}")
+            require_positive(getattr(self, name), name)
         if not (0.0 < self.pi < 1.0):
             raise ParameterError(f"pi must lie in (0, 1), got {self.pi}")
-        if self.outcome_kind not in OUTCOME_KINDS:
-            raise ParameterError(f"unknown outcome_kind {self.outcome_kind!r}")
+        require_choice(self.outcome_kind, OUTCOME_KINDS, "outcome_kind")
 
 
 class Cohort:
@@ -84,19 +69,18 @@ class Cohort:
     strictly positive exposures, binary outcomes in {0, 1}."""
 
     def __init__(self, x_true, w_obs, y, z, config: CohortConfig | None = None):
-        self.x_true = np.asarray(x_true, dtype=float)
-        self.w_obs = np.asarray(w_obs, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+        self.x_true = finite_vector(x_true, "x_true")
+        self.w_obs = finite_vector(w_obs, "w_obs")
+        self.y = finite_vector(y, "y")
+        z = finite_vector(z, "z")
         if not np.isin(z, (0, 1)).all():
             raise ParameterError("binary outcomes z must be 0 or 1")
-        self.z = np.asarray(z, dtype=np.int64)
+        self.z = z.astype(np.int64)
         n = len(self.x_true)
         if not (len(self.w_obs) == len(self.y) == len(self.z) == n):
             raise ParameterError("cohort columns must have equal length")
         if n < 1:
             raise ParameterError("cohort has no records")
-        if not all(np.isfinite(c).all() for c in (self.x_true, self.w_obs, self.y)):
-            raise ParameterError("cohort values must be finite")
         if np.any(self.x_true <= 0) or np.any(self.w_obs <= 0):
             raise ParameterError("exposures must be strictly positive")
         if config is not None and config.n != n:

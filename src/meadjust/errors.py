@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the four input rules
+that raise ``ParameterError``: an integer of at least k, a finite positive
+number, a finite 1-D array and one of a set of names. The configs, data
+types and CLI checks call these rules rather than writing their own."""
+import math
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -38,3 +44,34 @@ class InitializationError(NumericalError):
             msg += f" ({detail})"
         super().__init__(msg)
         self.parameter = parameter
+
+
+def require_integer(value, name: str, minimum: int) -> None:
+    """ParameterError unless value is an integer >= minimum; numpy integers
+    count, bools and integral floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {name} {value}")
+
+
+def require_positive(value, name: str) -> None:
+    """ParameterError unless value is finite and > 0."""
+    if not (0 < value < math.inf):
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def finite_vector(values, name: str) -> np.ndarray:
+    """values as a float array; ParameterError unless it is 1-D and finite."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1:
+        raise ParameterError(f"{name} must be 1-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} must be finite")
+    return a
+
+
+def require_choice(value, choices: tuple, name: str) -> None:
+    """ParameterError unless value is one of choices."""
+    if value not in choices:
+        raise ParameterError(f"unknown {name} {value!r}; expected one of {choices}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_vector, require_positive
 
 __all__ = [
     "ToyData",
@@ -36,18 +36,15 @@ class ToyData:
     noise_precision: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        u = np.asarray(self.u, dtype=float)
+        v = finite_vector(self.v, "v")
+        u = finite_vector(self.u, "u")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
         if len(v) != len(u):
             raise ParameterError("v and u must have equal length")
         if len(v) < 1:
             raise ParameterError("need at least one observation")
-        if not (np.isfinite(v).all() and np.isfinite(u).all()):
-            raise ParameterError("v and u must be finite")
-        if not (0 < self.noise_precision < math.inf):
-            raise ParameterError(f"noise precision must be finite and > 0, got {self.noise_precision}")
+        require_positive(self.noise_precision, "noise precision")
 
     @property
     def n(self) -> int:
@@ -62,8 +59,7 @@ class HypothesisPriors:
     def __post_init__(self):
         if not (0.0 < self.p_null < 1.0):
             raise ParameterError(f"p_null must lie in (0, 1), got {self.p_null}")
-        if not (0 < self.sigma_b < math.inf):
-            raise ParameterError(f"sigma_b must be finite and > 0, got {self.sigma_b}")
+        require_positive(self.sigma_b, "sigma_b")
 
     @property
     def p_pos(self) -> float:

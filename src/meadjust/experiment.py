@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .cohort import Cohort, CohortConfig, write_atomic
 from .diagnostics import PosteriorSummary, RhatReport, require_draws, rhat, summarize, transform_summary
-from .errors import ParameterError
+from .errors import ParameterError, require_choice
 from .mcmc import MODEL_KINDS, McmcConfig, ModelSpec, PosteriorSamples, run_chains
 from .priors import PRIOR_VARIANT_ORDER, LogNormalPrior, PriorSet, linear_priors, logistic_priors
 
@@ -59,9 +59,8 @@ class ExperimentConfig:
         ):
             if not names:
                 raise ParameterError(f"{key} must be non-empty")
-            unknown = [name for name in names if name not in known]
-            if unknown:
-                raise ParameterError(f"{key}: unknown name {unknown[0]!r}; known: {', '.join(known)}")
+            for name in names:
+                require_choice(name, known, f"{key} entry")
             if len(set(names)) != len(names):
                 raise ParameterError(f"{key} names an entry twice: {list(names)}")
 
@@ -148,8 +147,7 @@ class CellResult:
 
 
 def priors_for(kind: str, variant: str, mu_x_normal: bool = False) -> PriorSet:
-    if kind not in MODEL_KINDS:
-        raise ParameterError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    require_choice(kind, MODEL_KINDS, "model kind")
     if mu_x_normal and kind != "linear":
         raise ParameterError(f"--mu-x-normal (mu_x_normal) applies to the linear model, not {kind!r}")
     if kind == "linear":

@@ -88,9 +88,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cohort import Cohort, require_integers
-from .errors import InitializationError, ParameterError
-from .naive import _dot, expit, finite_vector, fit_linear, fit_logistic, logistic_terms
+from .cohort import Cohort
+from .errors import InitializationError, ParameterError, finite_vector, require_choice, require_integer
+from .naive import _dot, expit, fit_linear, fit_logistic, logistic_terms
 from .priors import LogNormalPrior, NormalPrior, PriorSet
 from .rng import GammaParams, Rng, sample_gamma
 
@@ -143,10 +143,8 @@ class ModelSpec:
     log_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ParameterError(f"unknown model kind {self.kind!r}")
-        if self.exposure_transform not in ("identity", "log"):
-            raise ParameterError(f"unknown exposure_transform {self.exposure_transform!r}")
+        require_choice(self.kind, MODEL_KINDS, "model kind")
+        require_choice(self.exposure_transform, ("identity", "log"), "exposure_transform")
         w = finite_vector(self.w, "w")
         out = finite_vector(self.outcome, "outcome")
         object.__setattr__(self, "w", w)
@@ -621,6 +619,7 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
     exposures start at log W. A lognormal location prior cannot sit at
     zero, so its start is clamped positive.
     """
+    require_choice(strategy, INIT_STRATEGIES, "init_strategy")
     priors = spec.priors
     offset = _COEFF_OFFSETS[chain_index % 3] + 0.1 * (chain_index // 3)
     l0 = spec.log_w.copy()
@@ -634,7 +633,7 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
         tau_x = 1.0
         tau_e = 1.0
         mu_x = 1.0 if isinstance(priors.mu_x, LogNormalPrior) else 0.0
-    elif strategy == "naive_start":
+    else:
         t_obs = spec.w if spec.exposure_transform == "identity" else spec.log_w
         if spec.kind == "linear":
             fit = fit_linear(t_obs, spec.outcome)
@@ -651,8 +650,6 @@ def initial_state(spec: ModelSpec, strategy: str, chain_index: int, rng: Rng) ->
         tau_e = priors.tau_e.mean
         loc = float(spec.log_w.mean())
         mu_x = max(loc, 0.05) if isinstance(priors.mu_x, LogNormalPrior) else loc
-    else:
-        raise ParameterError(f"unknown init_strategy {strategy!r}")
 
     state = ChainState(
         coeff0=float(coeff0),
@@ -698,21 +695,11 @@ class McmcConfig:
     init_strategy: str = field(default="paper_replication", metadata={"choices": INIT_STRATEGIES})
 
     def __post_init__(self):
-        require_integers(self, ("n_chains", "burn_in", "keep", "thin", "seed"))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got seed {self.seed}")
-        if self.n_chains < 1:
-            raise ParameterError("n_chains must be >= 1")
-        if self.burn_in < 0:
-            raise ParameterError("burn_in must be >= 0")
-        if self.keep < 1:
-            raise ParameterError("keep must be >= 1")
-        if self.thin < 1:
-            raise ParameterError("thin must be >= 1")
+        for name, minimum in {"n_chains": 1, "burn_in": 0, "keep": 1, "thin": 1, "seed": 0}.items():
+            require_integer(getattr(self, name), name, minimum)
         if self.keep % self.thin != 0:
             raise ParameterError(f"keep ({self.keep}) must be a multiple of thin ({self.thin})")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ParameterError(f"unknown init_strategy {self.init_strategy!r}")
+        require_choice(self.init_strategy, INIT_STRATEGIES, "init_strategy")
 
     @property
     def n_retained(self) -> int:

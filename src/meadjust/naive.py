@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SingularDesignError
+from .errors import ParameterError, SingularDesignError, finite_vector, require_choice
 
 __all__ = [
     "FitResult",
@@ -49,16 +49,6 @@ class FitResult:
             converged=bool(converged),
             iterations=int(iterations),
         )
-
-
-def finite_vector(values, name: str) -> np.ndarray:
-    """values as a float array; ParameterError unless it is 1-D and finite."""
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 1:
-        raise ParameterError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ParameterError(f"{name} must be finite")
-    return a
 
 
 def fit_linear(w, y) -> FitResult:
@@ -234,8 +224,5 @@ def correct_rr_reliability(rr_obs: float, rho: float, form: str = "exponent") ->
         raise ParameterError(f"rr_obs must be > 0, got {rr_obs}")
     if not (0.0 < rho <= 1.0):
         raise ParameterError(f"reliability must lie in (0, 1], got {rho}")
-    if form == "exponent":
-        return rr_obs ** (1.0 / rho)
-    if form == "multiplier":
-        return rr_obs * math.sqrt(rho)
-    raise ParameterError(f"unknown correction form {form!r}")
+    require_choice(form, ("exponent", "multiplier"), "correction form")
+    return rr_obs ** (1.0 / rho) if form == "exponent" else rr_obs * math.sqrt(rho)

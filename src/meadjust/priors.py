@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ParameterError
+from .errors import ParameterError, require_choice, require_positive
 from .rng import GammaParams, Rng
 
 __all__ = [
@@ -32,8 +32,7 @@ class NormalPrior:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ParameterError(f"prior mean must be finite, got {self.mean}")
-        if not (0 < self.variance < math.inf):
-            raise ParameterError(f"prior variance must be finite and > 0, got {self.variance}")
+        require_positive(self.variance, "prior variance")
 
     def logpdf(self, x) -> float:
         return -0.5 * (math.log(2.0 * math.pi * self.variance) + (x - self.mean) ** 2 / self.variance)
@@ -97,12 +96,8 @@ class PriorSet:
 
 
 def _tau_e_prior(variant: str) -> GammaParams:
-    try:
-        return TAU_E_PRIORS[variant]
-    except KeyError:
-        raise ParameterError(
-            f"unknown tau_e prior variant {variant!r}; expected one of {PRIOR_VARIANT_ORDER}"
-        ) from None
+    require_choice(variant, PRIOR_VARIANT_ORDER, "tau_e prior variant")
+    return TAU_E_PRIORS[variant]
 
 
 def linear_priors(variant: str = "uninformative", mu_x_normal: bool = False) -> PriorSet:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 __all__ = ["Rng", "GammaParams", "sample_gamma"]
 
@@ -33,9 +33,8 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        for name, value in (("shape", self.shape), ("scale", self.scale)):
-            if not (0 < value < math.inf):
-                raise ParameterError(f"gamma {name} must be finite and > 0, got {value}")
+        require_positive(self.shape, "gamma shape")
+        require_positive(self.scale, "gamma scale")
 
     @property
     def mean(self) -> float:

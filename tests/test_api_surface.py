@@ -2,8 +2,9 @@
 must keep resolving, so that a deletion cannot quietly break either; the
 package root must export nothing else that the tests and the benchmark do
 not read, so that an unused export cannot return unnoticed; the
-benchmark's tracer must see every sampler block; and the CLI must not
-import modules it does not use."""
+benchmark's tracer must see every sampler block; the CLI must not
+import modules it does not use; and each input rule must be written once,
+in ``errors``."""
 import ast
 import importlib
 import importlib.util
@@ -109,3 +110,23 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+_RULE_WORDING = ("must be an integer", "must be finite and > 0", "must be 1-D", "expected one of")
+
+
+def test_input_rules_are_written_only_in_errors():
+    """No module but errors raises the wording of an input rule (in a
+    string constant or an f-string part), so a hand-written copy of a rule
+    cannot return unnoticed."""
+    copies = []
+    for path in sorted((ROOT / "src" / "meadjust").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                for part in ast.walk(node):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        if any(wording in part.value for wording in _RULE_WORDING):
+                            copies.append((path.name, node.lineno, part.value))
+    assert copies == []

@@ -525,6 +525,8 @@ def test_evidence_empty_lists_exit_code(tmp_path, capsys):
         ("--noise-precision", "0"),
         ("--noise-precision", "inf"),
         ("--sigma-b", "inf"),
+        ("--n", "0"),
+        ("--n", "-3"),
     ):
         assert main(["evidence", f"{flag}={value}", "--out-dir", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err

@@ -310,6 +310,11 @@ def test_cohort_invariants_enforced():
             Cohort([1.0], [1.0], [0.0], z)
     with pytest.raises(ParameterError, match="no records"):
         Cohort([], [], [], [])
+    # a 2-D column is refused at construction, z as much as the others
+    columns = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0, 0, 0]]
+    for i in range(4):
+        with pytest.raises(ParameterError, match="1-D"):
+            Cohort(*columns[:i], np.ones((3, 2)), *columns[i + 1 :])
 
 
 def test_model_spec_rejects_non_finite():

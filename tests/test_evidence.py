@@ -178,3 +178,5 @@ def test_input_validation():
             ToyData(v, u, 1.0)
     with pytest.raises(ParameterError, match="finite"):
         HypothesisPriors(0.5, math.inf)
+    with pytest.raises(ParameterError, match="1-D"):
+        ToyData(np.ones((5, 2)), np.ones((5, 2)), 1.0)

@@ -30,7 +30,7 @@ from meadjust import (
     simulate_cohort,
     write_traces,
 )
-from meadjust.experiment import adjust_cell, priors_for
+from meadjust.experiment import ExperimentConfig, adjust_cell, priors_for
 from meadjust.priors import NormalPrior, PriorSet, linear_priors, logistic_priors
 
 
@@ -70,6 +70,30 @@ def test_mcmc_config_validation():
     assert McmcConfig(keep=1000, thin=10).n_retained == 100
     with pytest.raises(ParameterError, match=r"'Linear'.*\('linear', 'logistic'\)"):
         priors_for("Linear", "typeA")
+
+
+def test_unknown_names_are_refused_with_the_allowed_ones():
+    """Every name check refuses an unknown value with a ParameterError that
+    names the value and every allowed one."""
+    ok = dict(kind="linear", w=[1.0, 2.0], outcome=[0.0, 1.0], priors=linear_priors())
+    spec = ModelSpec(**ok)
+    variants = ("uninformative", "typeA", "typeB", "typeC")
+    for build, value, allowed in (
+        (lambda: CohortConfig(outcome_kind="neither"), "neither", ("continuous", "binary", "both")),
+        (lambda: McmcConfig(init_strategy="hopeful"), "hopeful", ("paper_replication", "naive_start")),
+        (lambda: mcmc.initial_state(spec, "hopeful", 0, Rng(0)), "hopeful", ("paper_replication", "naive_start")),
+        (lambda: ModelSpec(**{**ok, "kind": "probit"}), "probit", ("linear", "logistic")),
+        (lambda: ModelSpec(**{**ok, "exposure_transform": "sqrt"}), "sqrt", ("identity", "log")),
+        (lambda: priors_for("probit", "typeA"), "probit", ("linear", "logistic")),
+        (lambda: linear_priors("typeZ"), "typeZ", variants),
+        (lambda: ExperimentConfig(prior_variants=("typeZ",)), "typeZ", variants),
+        (lambda: naive.correct_rr_reliability(2.0, 0.5, "cube"), "cube", ("exponent", "multiplier")),
+    ):
+        with pytest.raises(ParameterError) as excinfo:
+            build()
+        message = str(excinfo.value)
+        for name in (value, *allowed):
+            assert repr(name) in message, (message, name)
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["sequential", "threaded"])
